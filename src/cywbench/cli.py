@@ -74,6 +74,7 @@ EXIT_ITERATION = 5
 EXIT_VERIFICATION = 6
 
 _STAGE_EXIT = {
+    "route-selection": EXIT_CONFIG,
     "condition-a": EXIT_OBSTRUCTION,
     "energy-gate": EXIT_GATE,
     "verify-inequalities": EXIT_VERIFICATION,

@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+import ast
 import io
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -981,7 +982,7 @@ def read_mesh(source) -> Mesh:
         elif section == "FLAGS":
             k, _, v = line.partition("=")
             try:
-                metadata[k] = eval(v, {"__builtins__": {}})  # noqa: S307 - literals
+                metadata[k] = ast.literal_eval(v)
             except Exception:
                 metadata[k] = v
         else:

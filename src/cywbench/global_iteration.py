@@ -838,7 +838,10 @@ def prescribe(
             work_ops = _operators.assemble(mesh, work_geom, cst, bc_mode="robin")
             factors.append(v_h)
 
-    domain, lam = _pick_region_domain(mesh, work_geom, S)
+    try:
+        domain, lam = _pick_region_domain(mesh, work_geom, S)
+    except ValueError as err:
+        raise PipelineError("route-selection", str(err)) from err
     if lam <= 0:
         raise PipelineError("route-selection", "admissible level must be positive")
 
@@ -851,30 +854,35 @@ def prescribe(
             work_ops = _operators.assemble(mesh, work_geom, cst, bc_mode=bc_mode)
             factors.append(v_neg)
 
-    # local stage
-    if route in ("lcf-manifold", "lcf-in-O-manifold-not-lcf"):
-        Qf = ScalarField(np.full(mesh.num_vertices, lam), mesh.mesh_id)
-        local = _local.solve_flat_punctured(mesh, domain, Qf, work_geom, cst)
-        thresholds = None
-    else:
-        dir_ops = _operators.assemble(
-            mesh, work_geom, cst, bc_mode="dirichlet", domain=domain
-        )
-        thresholds = _local.energy_gate(
-            mesh, domain, work_geom, cst, lam, -0.1, ops=dir_ops
-        )
-        if not thresholds.gate_pass and not thresholds.metadata.get(
-            "advisory_only", False
-        ):
-            raise PipelineError(
-                "energy-gate",
-                f"Q_eps = {thresholds.Q_eps:.6g} >= T_used = "
-                f"{thresholds.metadata['T_used']:.6g}",
+    # local stage: a bare solver error becomes a tagged pipeline failure
+    try:
+        if route in ("lcf-manifold", "lcf-in-O-manifold-not-lcf"):
+            Qf = ScalarField(np.full(mesh.num_vertices, lam), mesh.mesh_id)
+            local = _local.solve_flat_punctured(mesh, domain, Qf, work_geom, cst)
+            thresholds = None
+        else:
+            dir_ops = _operators.assemble(
+                mesh, work_geom, cst, bc_mode="dirichlet", domain=domain
             )
-        trace = _local.beta_continuation(
-            mesh, domain, work_geom, cst, lam, -0.1, ops=dir_ops
-        )
-        local = trace.metadata.get("beta_zero_solution") or trace.solutions[-1]
+            thresholds = _local.energy_gate(
+                mesh, domain, work_geom, cst, lam, -0.1, ops=dir_ops
+            )
+            if not thresholds.gate_pass and not thresholds.metadata.get(
+                "advisory_only", False
+            ):
+                raise PipelineError(
+                    "energy-gate",
+                    f"Q_eps = {thresholds.Q_eps:.6g} >= T_used = "
+                    f"{thresholds.metadata['T_used']:.6g}",
+                )
+            trace = _local.beta_continuation(
+                mesh, domain, work_geom, cst, lam, -0.1, ops=dir_ops
+            )
+            local = trace.metadata.get("beta_zero_solution") or trace.solutions[-1]
+    except PipelineError:
+        raise
+    except (ValueError, RuntimeError) as err:
+        raise PipelineError("local-solve", str(err)) from err
 
     eig = _operators.first_eigenpair(
         work_ops, mass="lumped", operator="conformal-lumped"

@@ -8,6 +8,11 @@ solved by constrained quotient minimization over the unit L^p sphere followed
 by a Newton polish.  The energy gate compares the test-function quotient
 Q_eps against a discrete Sobolev-quotient estimate T_est and admits the solve
 only when Q_eps < T_used.
+
+Every test function, iterate and Newton step vanishes off the interior
+vertices of Omega.  The quadrature therefore runs only over the tets that
+touch an interior vertex (``operators.FreeQuadrature``), on interior-sized
+vectors; the other tets contribute exactly 0.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ __all__ = [
     "solve_perturbed",
     "beta_continuation",
     "solve_flat_punctured",
-    "auxiliary_drift_diagnostics",
     "trace_to_report",
 ]
 
@@ -209,6 +213,7 @@ def energy_gate(
 
     center, depth = _deep_interior_vertex(mesh, domain)
     radius = depth
+    fq = ops.free_quadrature(domain.interior_set)
 
     best = None
     per_eps = {}
@@ -222,7 +227,7 @@ def energy_gate(
         grad_term = float(u @ (ops.stiffness @ u))
         curv_term = float(u @ (ops.curvature_mass @ u)) / a
         mass_term = float(u @ (ops.mass @ u)) / a
-        lp_sq = ops.lp_norm(u) ** 2
+        lp_sq = fq.lp_norm(u[domain.interior_set]) ** 2
         q = (grad_term + curv_term + beta * mass_term) / lp_sq
         pure = grad_term / lp_sq
         per_eps[eps] = q
@@ -268,8 +273,8 @@ def energy_gate(
 # ---------------------------------------------------------------------------
 
 
-def _bordered_newton(ops, A, free, u, lam_mult, Nload, weighted_p_integral,
-                     Sq, lam, mL, info):
+def _bordered_newton(A, u, mu, Nload, weighted_p_integral, jacobian_mass, p,
+                     mL, info):
     """Newton on the constrained system A u = mu N(u), weighted p-mass = 1.
 
     The bordered system stays nonsingular where the unconstrained Jacobian
@@ -278,31 +283,14 @@ def _bordered_newton(ops, A, free, u, lam_mult, Nload, weighted_p_integral,
     """
     from scipy.sparse import bmat, csc_matrix
 
-    p = ops.constants.p
-    n = ops.num_vertices
-
-    def full(uf):
-        x = np.zeros(n)
-        x[free] = uf
-        return x
-
-    def dn(r):
-        return math.sqrt(float(r @ (r / mL)))
-
-    mu = lam_mult
     for _ in range(80):
-        uf = full(u)
-        F = Nload(uf)[free]
+        F = Nload(u)
         r1 = A @ u - mu * F
-        r2 = weighted_p_integral(uf) - 1.0
-        rn = math.sqrt(dn(r1) ** 2 + r2**2)
+        r2 = weighted_p_integral(u) - 1.0
+        rn = math.sqrt(_dual_norm(r1, mL) ** 2 + r2**2)
         if rn <= 1e-13 * max(abs(mu), 1.0):
             break
-        uq = ops.quad_values(uf)
-        w = np.abs(uq) ** (p - 2.0)
-        if Sq is not None:
-            w = w * Sq
-        W = ops.weighted_mass(lam * mu * (p - 1.0) * w)[free][:, free]
+        W = jacobian_mass(u, mu)
         B = bmat(
             [
                 [(A - W).tocsr(), csc_matrix(-F[:, None])],
@@ -319,10 +307,9 @@ def _bordered_newton(ops, A, free, u, lam_mult, Nload, weighted_p_integral,
         for _ in range(40):
             cu = np.maximum(u + theta * du, 0.0)
             cm = mu + theta * dmu
-            cf = full(cu)
-            c1 = A @ cu - cm * Nload(cf)[free]
-            c2 = weighted_p_integral(cf) - 1.0
-            cn = math.sqrt(dn(c1) ** 2 + c2**2)
+            c1 = A @ cu - cm * Nload(cu)
+            c2 = weighted_p_integral(cu) - 1.0
+            cn = math.sqrt(_dual_norm(c1, mL) ** 2 + c2**2)
             if cn < rn:
                 neg = (u + theta * du) < 0
                 info["clamp_events"] += int(neg.sum())
@@ -352,32 +339,26 @@ def _solve_critical(
     """Minimize the constrained quotient, rescale, and Newton-polish.
 
     Solves  A u = N(u)  with  A = a K + M_R + beta M  (restricted rows) and
-    N(u) = consistent load of lam*S*|u|^{p-2}u.  Returns (u_full, info).
+    N(u) = consistent load of lam*S*|u|^{p-2}u.  Iterates live on ``free``
+    and vanish elsewhere, so every quadrature sweeps only the tets that
+    touch ``free``.  Returns (u_full, info).
     """
-    cst = ops.constants
-    p = cst.p
-    n = ops.num_vertices
-    A_full = ops.conformal_laplacian_matrix(beta)
-    A = A_full[free][:, free].tocsr()
+    p = ops.constants.p
+    fq = ops.free_quadrature(free)
+    A = ops.conformal_laplacian_matrix(beta)[free][:, free].tocsr()
     mL = ops.mass_lumped[free]
-    Sq = None if S is None else ops.quad_values(S)
+    Sq = 1.0 if S is None else fq.sample(S)
 
-    def Nload(u_full):
-        F = ops.nonlinear_load(u_full)
-        if S is not None:
-            F = ops.nonlinear_load(u_full, S)
-        return lam * F
+    def Nload(u):
+        return lam * fq.nonlinear_load(u, Sq)
 
-    def weighted_p_integral(u_full):
-        uq = np.abs(ops.quad_values(u_full)) ** p
-        if Sq is not None:
-            uq = uq * Sq
-        return lam * ops.integrate(uq)
+    def weighted_p_integral(u):
+        return lam * fq.integrate(np.abs(fq.quad_values(u)) ** p * Sq)
 
-    def full(uf):
-        x = np.zeros(n)
-        x[free] = uf
-        return x
+    def jacobian_mass(u, mu=1.0):
+        # free x free block of the weighted mass behind mu * N'(u)
+        w = np.abs(fq.quad_values(u)) ** (p - 2.0) * Sq
+        return fq.weighted_mass(lam * mu * (p - 1.0) * w)
 
     info = {"clamp_events": 0}
     u = np.maximum(init[free].copy(), 0.0)
@@ -395,15 +376,14 @@ def _solve_critical(
             pass
 
         # projected gradient on the weighted unit-L^p sphere
-        den = weighted_p_integral(full(u))
+        den = weighted_p_integral(u)
         u /= den ** (1.0 / p)
         t = 1.0
         J_prev = None
         for _ in range(300):
-            uf = full(u)
             Au = A @ u
             J = float(u @ Au)
-            F = Nload(uf)[free]
+            F = Nload(u)
             if J_prev is not None and J_prev - J < 1e-12 * max(abs(J), 1.0):
                 break
             J_prev = J
@@ -412,7 +392,7 @@ def _solve_critical(
             improved = False
             for _ in range(40):
                 cand = np.maximum(u - step * grad, 0.0)
-                dc = weighted_p_integral(full(cand))
+                dc = weighted_p_integral(cand)
                 if dc <= 0:
                     step *= 0.5
                     continue
@@ -425,7 +405,7 @@ def _solve_critical(
                 step *= 0.5
             if not improved:
                 break
-        Q_min = float(u @ (A @ u)) / weighted_p_integral(full(u)) ** (2.0 / p)
+        Q_min = float(u @ (A @ u)) / weighted_p_integral(u) ** (2.0 / p)
         info["Q_min"] = Q_min
         if Q_min <= 0:
             raise ValueError(
@@ -433,29 +413,23 @@ def _solve_critical(
                 "rescaling of the minimizer solves the equation (sign "
                 "hypothesis failed)"
             )
-        u, Q_min = _bordered_newton(ops, A, free, u, Q_min, Nload,
-                                    weighted_p_integral, Sq, lam, mL, info)
+        u, Q_min = _bordered_newton(A, u, Q_min, Nload, weighted_p_integral,
+                                    jacobian_mass, p, mL, info)
         info["Q_min"] = Q_min
         u = u * Q_min ** (1.0 / (p - 2.0))
 
     # Newton polish with backtracking and positivity clamp
-    def residual(uf_free):
-        uf = full(uf_free)
-        return (A @ uf_free) - Nload(uf)[free]
+    def residual(u):
+        N = Nload(u)
+        return A @ u - N, N
 
-    r = residual(u)
-    scale = max(_dual_norm(Nload(full(u))[free], mL), _dual_norm(A @ u, mL), 1e-300)
+    r, N = residual(u)
+    scale = max(_dual_norm(N, mL), _dual_norm(A @ u, mL), 1e-300)
     rn = _dual_norm(r, mL)
     for it in range(60):
         if rn <= 1e-11 * scale:
             break
-        uf = full(u)
-        uq = ops.quad_values(uf)
-        w = np.abs(uq) ** (p - 2.0)
-        if Sq is not None:
-            w = w * Sq
-        W = ops.weighted_mass(lam * (p - 1.0) * w)[free][:, free].tocsr()
-        Jmat = (A - W).tocsc()
+        Jmat = (A - jacobian_mass(u)).tocsc()
         try:
             delta = splu(Jmat).solve(-r)
         except RuntimeError as exc:
@@ -468,18 +442,16 @@ def _solve_critical(
             if neg.any():
                 info["clamp_events"] += int(neg.sum())
                 cand = np.maximum(cand, 0.0)
-            rc = residual(cand)
+            rc, Nc = residual(cand)
             rcn = _dual_norm(rc, mL)
             if rcn < rn:
-                u, r, rn = cand, rc, rcn
+                u, r, rn, N = cand, rc, rcn, Nc
                 accepted = True
                 break
             theta *= 0.5
         if not accepted:
             break
-        scale = max(
-            _dual_norm(Nload(full(u))[free], mL), _dual_norm(A @ u, mL), 1e-300
-        )
+        scale = max(_dual_norm(N, mL), _dual_norm(A @ u, mL), 1e-300)
     rel = rn / scale
     if rel > 1e-8:
         raise RuntimeError(
@@ -488,7 +460,9 @@ def _solve_critical(
         )
     info["relative_residual"] = rel
     info["newton_iterations"] = it
-    return full(u), info
+    u_full = np.zeros(ops.num_vertices)
+    u_full[free] = u
+    return u_full, info
 
 
 def solve_perturbed(
@@ -586,6 +560,8 @@ def beta_continuation(
         TestFunctionParams(gate.metadata["eps_star"], beta0, center, radius),
     )
 
+    free = domain.interior_set
+    fq = ops.free_quadrature(free)
     betas, sols, lps, proxies = [], [], [], []
     beta = beta0
     prev = None
@@ -606,7 +582,7 @@ def beta_continuation(
         )
         betas.append(beta)
         sols.append(sol)
-        lp_p = ops.lp_norm(sol.values) ** cst.p
+        lp_p = fq.lp_norm(sol.values[free]) ** cst.p
         lps.append(lp_p)
         proxy = float(np.abs(sol.values).max()) + math.sqrt(
             float(sol.values @ (ops.stiffness @ sol.values))
@@ -629,10 +605,9 @@ def beta_continuation(
     if converged:
         # record the unperturbed local solution: one Newton polish at beta = 0
         u0, info0 = _solve_critical(
-            ops, domain.interior_set, 0.0, lam, None, sols[-1].values,
-            newton_only=True,
+            ops, free, 0.0, lam, None, sols[-1].values, newton_only=True
         )
-        if u0[domain.interior_set].min() > 0:
+        if u0[free].min() > 0:
             beta_zero = ScalarField(u0, mesh.mesh_id, info0)
     return ContinuationTrace(
         betas=betas,
@@ -735,36 +710,14 @@ def solve_flat_punctured(
     ops_curved = assemble(mesh, geom, constants, bc_mode="dirichlet",
                           domain=domain_eps)
     free = domain_eps.interior_set
-    rc = (ops_curved.conformal_laplacian_matrix() @ u)[free] - ops_curved.nonlinear_load(
-        u, Qv
-    )[free]
+    fq = ops_curved.free_quadrature(free)
+    N = fq.nonlinear_load(u[free], fq.sample(Qv))
+    rc = (ops_curved.conformal_laplacian_matrix() @ u)[free] - N
     mL = ops_curved.mass_lumped[free]
-    scale = max(
-        _dual_norm(ops_curved.nonlinear_load(u, Qv)[free], mL), 1e-300
+    info["curved_relative_residual"] = _dual_norm(rc, mL) / max(
+        _dual_norm(N, mL), 1e-300
     )
-    info["curved_relative_residual"] = _dual_norm(rc, mL) / scale
     return ScalarField(u, mesh.mesh_id, info)
-
-
-def auxiliary_drift_diagnostics(
-    ops: AssembledOperators, domain: Domain, u: ScalarField
-) -> dict:
-    """Diagnostic linear solve a*K v = -2 M_R u with zero frontier data.
-
-    Returns the max norm, the energy seminorm, and the L^1 mass of v; used
-    only for monitoring the gluing-adjacent drift quantities.
-    """
-    free = domain.interior_set
-    A = (ops.constants.a * ops.stiffness)[free][:, free].tocsc()
-    rhs = (-2.0 * (ops.curvature_mass @ u.values))[free]
-    v = splu(A).solve(rhs)
-    vf = np.zeros(ops.num_vertices)
-    vf[free] = v
-    return {
-        "gamma1_max": float(np.abs(vf).max()),
-        "gamma2_energy": math.sqrt(float(vf @ (ops.stiffness @ vf))),
-        "gamma3_l1": ops.integrate(np.abs(ops.quad_values(vf))),
-    }
 
 
 def trace_to_report(trace: ContinuationTrace) -> str:

@@ -9,6 +9,10 @@ Conventions
   lumped pair (diagonal inverse), spectra and quotients use the consistent
   matrices.  The L^p norm is always the order-2 quadrature of the P1
   interpolant; this module is the single source of p-norm truth.
+* ``FreeQuadrature`` runs the same quadrature on free-sized vectors over the
+  tets that touch a free vertex.  It is exact for fields that vanish off the
+  free set: a tet without a free vertex adds exactly 0 to every load,
+  integral, norm and free x free mass entry of such a field.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .geometry import (
 
 __all__ = [
     "AssembledOperators",
+    "FreeQuadrature",
     "EigenResult",
     "LiYauInputs",
     "assemble",
@@ -61,9 +66,7 @@ def _scatter_matrix(local: np.ndarray, cells: np.ndarray, n: int) -> csr_matrix:
 
 
 def _scatter_vector(local: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n)
-    np.add.at(out, cells.ravel(), local.ravel())
-    return out
+    return np.bincount(cells.ravel(), local.ravel(), minlength=n)
 
 
 @dataclass
@@ -88,6 +91,7 @@ class AssembledOperators:
     boundary_mass_lumped: Optional[np.ndarray]
 
     metadata: dict = field(default_factory=dict)
+    _free_quadratures: dict = field(default_factory=dict, init=False, repr=False)
 
     # ---- structure -------------------------------------------------------
 
@@ -108,10 +112,6 @@ class AssembledOperators:
         if beta != 0.0:
             L = L + beta * self.mass
         return L
-
-    def restrict(self, mat: csr_matrix) -> csr_matrix:
-        free = self.free_vertices
-        return mat[free][:, free].tocsr()
 
     # ---- quadrature interpolation ----------------------------------------
 
@@ -148,10 +148,12 @@ class AssembledOperators:
         loc = _kernels.local_load(self.geom.volume_density, w, TET_QP, TET_QW)
         return _scatter_vector(loc, self.mesh.tets, self.num_vertices)
 
-    def weighted_mass(self, w_q: np.ndarray) -> csr_matrix:
-        """Consistent mass matrix with an extra per-quadrature-point weight."""
-        loc = _kernels.local_mass(self.geom.volume_density, w_q, TET_QP, TET_QW)
-        return _scatter_matrix(loc, self.mesh.tets, self.num_vertices)
+    def free_quadrature(self, free: np.ndarray) -> "FreeQuadrature":
+        """Quadrature restricted to the tets touching ``free``, built once per set."""
+        key = np.asarray(free, dtype=np.int64).tobytes()
+        if key not in self._free_quadratures:
+            self._free_quadratures[key] = FreeQuadrature(self, free)
+        return self._free_quadratures[key]
 
     # ---- pointwise operators ----------------------------------------------
 
@@ -159,6 +161,60 @@ class AssembledOperators:
         """Lumped mass-inverted action: M_L^{-1}(a*K*u + M_R^L*u)."""
         r = self.constants.a * (self.stiffness @ u) + self.curvature_mass_lumped * u
         return r / self.mass_lumped
+
+
+class FreeQuadrature:
+    """Quadrature helpers on free-sized vectors, swept over the active tets.
+
+    A tet is active when it has a free vertex.  Vectors ``uf`` hold the values
+    at ``free`` and stand for fields that vanish at every other vertex; the
+    fixed vertices of an active tet read the zero slot ``nf``.  Only index
+    arrays are kept, and no reference to the operators, which cache this
+    object; the density is read from the geometry per call.
+    """
+
+    def __init__(self, ops: AssembledOperators, free: np.ndarray):
+        self.geom, self.p = ops.geom, ops.constants.p
+        self.nf = nf = len(free)
+        slot = np.full(ops.num_vertices, nf, dtype=np.int64)
+        slot[free] = np.arange(nf)
+        cells = slot[ops.mesh.tets]
+        self.tets = np.flatnonzero((cells < nf).any(axis=1))
+        self.vertices = ops.mesh.tets[self.tets]
+        self.cells = cells[self.tets]
+        rows = np.repeat(self.cells, 4, axis=1).ravel()
+        cols = np.tile(self.cells, (1, 4)).ravel()
+        self._pairs = np.flatnonzero((rows < nf) & (cols < nf))
+        self._rows, self._cols = rows[self._pairs], cols[self._pairs]
+
+    def _density(self) -> np.ndarray:
+        return self.geom.volume_density[self.tets]
+
+    def sample(self, field: np.ndarray) -> np.ndarray:
+        """A full-length vertex field at the active quadrature points."""
+        return np.einsum("qc,tc->tq", TET_QP, field[self.vertices])
+
+    def quad_values(self, uf: np.ndarray) -> np.ndarray:
+        return np.einsum("qc,tc->tq", TET_QP, np.append(uf, 0.0)[self.cells])
+
+    def integrate(self, w_q: np.ndarray) -> float:
+        return float(np.einsum("q,tq,tq->", TET_QW, self._density(), w_q))
+
+    def lp_norm(self, uf: np.ndarray) -> float:
+        return self.integrate(np.abs(self.quad_values(uf)) ** self.p) ** (1.0 / self.p)
+
+    def nonlinear_load(self, uf: np.ndarray, Sq=1.0) -> np.ndarray:
+        """Free rows of the consistent load of Sq*|u|^{p-2}u (Sq sampled)."""
+        uq = self.quad_values(uf)
+        w = np.abs(uq) ** (self.p - 2.0) * uq * Sq
+        loc = _kernels.local_load(self._density(), w, TET_QP, TET_QW)
+        return _scatter_vector(loc, self.cells, self.nf + 1)[:-1]
+
+    def weighted_mass(self, w_q: np.ndarray) -> csr_matrix:
+        """Free x free block of the weighted consistent mass matrix."""
+        loc = _kernels.local_mass(self._density(), w_q, TET_QP, TET_QW).ravel()
+        entries = (loc[self._pairs], (self._rows, self._cols))
+        return coo_matrix(entries, shape=(self.nf, self.nf)).tocsr()
 
 
 @dataclass

@@ -176,3 +176,13 @@ def test_console_entry_point():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "prescribe" in out.stdout
+
+
+def test_prescribe_empty_local_domain_exit_two(tmp_path):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("[run]\npreset = bump-t3\nrefinement = 1\n"
+                   "[S]\nkind = admissible\nbase = 2 + sin(2*pi*x)\n"
+                   "level = 1.0\nregion = ball(0.5,0.5,0.5,0.4)\n")
+    code = cli.main(["prescribe", "--config", str(cfg), "--output-dir",
+                     str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG

@@ -214,3 +214,22 @@ def test_mesh_roundtrip(pid, tmp_path):
 def test_read_mesh_rejects_bad_header():
     with pytest.raises(ValueError):
         geometry.read_mesh("NOTAMESH 9\nVERTICES\n")
+
+
+class _FlagsProbe:
+    hits = []
+
+
+def test_read_mesh_flags_are_literals_only(tmp_path):
+    mesh, _ = preset("flat-t3", 1)
+    payload = ("[c for c in ().__class__.__base__.__subclasses__() "
+               "if c.__name__ == '_FlagsProbe'][0].hits.append(1)")
+    text = geometry.write_mesh(mesh) + (
+        f"escape={payload}\ncount=3\nscale=0.25\nshape=(1, 2.5, 'a')\n")
+    back = geometry.read_mesh(text)
+    assert back.metadata["escape"] == payload
+    assert _FlagsProbe.hits == []
+    assert back.metadata["count"] == 3
+    assert back.metadata["scale"] == 0.25
+    assert back.metadata["shape"] == (1, 2.5, "a")
+    assert back.metadata["period"] == mesh.metadata["period"]

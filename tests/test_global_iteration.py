@@ -195,3 +195,36 @@ def test_report_to_text_roundtrip_determinism():
     assert with_ts.splitlines()[1].startswith("timestamp ")
     # the timestamp line is the only difference
     assert "\n".join(with_ts.splitlines()[:1] + with_ts.splitlines()[2:]) + "\n" == t1
+
+
+def _bump_admissible_target(radius):
+    mesh, geom = preset("bump-t3", 1)
+    center = np.array([0.5, 0.5, 0.5])
+    region = geometry.extract_subdomain(
+        mesh, lambda v: np.einsum("ij,ij->i", v - center, v - center) < radius**2)
+    base = ScalarField(2.0 + np.sin(2.0 * np.pi * mesh.vertices[:, 0]), mesh.mesh_id)
+    S = geometry.construct_admissible_function(
+        base, region, 1.0, 2.0 * mesh.min_edge_length(), mesh)
+    return mesh, geom, S
+
+
+def test_prescribe_tags_empty_local_domain():
+    # the eroded admissible region keeps no interior vertex
+    mesh, geom, S = _bump_admissible_target(0.4)
+    with pytest.raises(gi.PipelineError) as err:
+        gi.prescribe(mesh, geom, S)
+    assert err.value.stage == "route-selection"
+    assert "empty interior" in str(err.value)
+
+
+def test_prescribe_tags_local_solve_failure(monkeypatch):
+    mesh, geom, S = _bump_admissible_target(0.45)
+
+    def failing_gate(*args, **kwargs):
+        raise RuntimeError("Newton polish did not reach the residual tolerance")
+
+    monkeypatch.setattr(gi._local, "energy_gate", failing_gate)
+    with pytest.raises(gi.PipelineError) as err:
+        gi.prescribe(mesh, geom, S)
+    assert err.value.stage == "local-solve"
+    assert isinstance(err.value.__cause__, RuntimeError)

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import mmread
 
-from cywbench import geometry, operators
-from cywbench.geometry import ScalarField
+from cywbench import _kernels, geometry, operators
+from cywbench.geometry import TET_QP, TET_QW, ScalarField
 
 from conftest import CST, assembled, preset
 
@@ -182,3 +182,42 @@ def test_nonlinear_load_homogeneity():
     n2 = ops.nonlinear_load(2.0 * u, S)
     # degree p-1 = 5 homogeneity of the critical nonlinearity
     assert np.allclose(n2, 32.0 * n1, rtol=1e-12)
+
+
+@pytest.mark.parametrize("preset_id, radius", [("ball-negR", 0.55), ("bump-t3", 0.45)])
+def test_free_quadrature_matches_whole_mesh(preset_id, radius):
+    # a field that vanishes off the interior: the restricted sweeps are exact
+    mesh, geom = preset(preset_id, 1)
+    center = np.asarray(geom.metadata["marked_region_center"])
+    dom = geometry.extract_subdomain(
+        mesh, lambda v: np.linalg.norm(mesh.displacement(
+            np.broadcast_to(center, v.shape), v), axis=1) < radius)
+    ops = operators.assemble(mesh, geom, CST, bc_mode="dirichlet", domain=dom)
+    free = dom.interior_set
+    fq = ops.free_quadrature(free)
+    assert fq is ops.free_quadrature(free.copy())
+    assert fq.tets.size < mesh.num_tets
+    u = np.zeros(mesh.num_vertices)
+    u[free] = np.random.default_rng(3).uniform(0.0, 2.0, free.size)
+    S = 2.0 + np.sin(2.0 * np.pi * mesh.vertices[:, 0])
+    p = CST.p
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    whole = ops.nonlinear_load(u)
+    close(fq.nonlinear_load(u[free]), whole[free])
+    close(fq.nonlinear_load(u[free], fq.sample(S)), ops.nonlinear_load(u, S)[free])
+    # vertices of no active tet receive exactly nothing
+    assert not whole[np.setdiff1d(np.arange(mesh.num_vertices),
+                                  mesh.tets[fq.tets])].any()
+    uq = np.abs(ops.quad_values(u))
+    close(fq.integrate(np.abs(fq.quad_values(u[free])) ** p * fq.sample(S)),
+          ops.integrate(uq**p * ops.quad_values(S)))
+    close(fq.lp_norm(u[free]), ops.lp_norm(u))
+    w = uq ** (p - 2.0) * ops.quad_values(S)
+    loc = _kernels.local_mass(geom.volume_density, w, TET_QP, TET_QW)
+    ref = operators._scatter_matrix(loc, mesh.tets, mesh.num_vertices)[free][:, free]
+    W = fq.weighted_mass(w[fq.tets])
+    assert W.shape == ref.shape
+    assert abs(W - ref).max() <= 1e-13 * abs(ref).max()
