@@ -375,6 +375,20 @@ def _pencil(ops: AssembledOperators, mass: str, operator: str):
     return L, M, free
 
 
+def _positive_definite(A: csr_matrix) -> bool:
+    """Whether symmetric ``A`` is positive definite, by its LU pivots.
+
+    With diagonal pivots the LU is a symmetric LDL^T, and by Sylvester's law
+    of inertia the signs of the pivots are those of A's eigenvalues.
+    """
+    try:
+        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:
+        return False
+    return bool(np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0)
+
+
 def first_eigenpair(
     ops: AssembledOperators,
     mass: str = "consistent",
@@ -382,6 +396,9 @@ def first_eigenpair(
 ) -> EigenResult:
     """Smallest eigenpair of L phi = eta M phi, deterministic shift-invert.
 
+    The shift steps down from the Rayleigh quotient of the constants, an upper
+    bound of eta, until L - sigma M is certified positive definite, so no
+    eigenvalue lies below it; the Gershgorin bound is the fallback.
     ``operator='laplacian'`` uses the pure stiffness block (no curvature or
     boundary term, no factor a).
     """
@@ -393,8 +410,12 @@ def first_eigenpair(
     low = float(
         np.min((2.0 * L.diagonal() - np.asarray(absL.sum(axis=1)).ravel()) / m_diag)
     )
-    sigma = low - 1.0
     v0 = np.ones(nfree)
+    rho = float(v0 @ (L @ v0)) / float(v0 @ (M @ v0))
+    gap = max(abs(rho), 1.0)
+    while rho - gap > low - 1.0 and not _positive_definite(L - (rho - gap) * M):
+        gap *= 4.0
+    sigma = max(rho - gap, low - 1.0)
     vals, vecs = eigsh(L, k=1, M=M, sigma=sigma, which="LM", v0=v0)
     eta = float(vals[0])
     phi = vecs[:, 0]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.io import mmread
 
 from cywbench import _kernels, geometry, operators
@@ -66,6 +67,23 @@ def test_first_eigenpair_round_sphere():
     assert abs(eig.eigenvalue - 6.0) < 1e-9
     assert eig.sign_change_free
     assert eig.residual < 1e-10
+
+
+@pytest.mark.parametrize("operator,mass", [("conformal", "consistent"),
+                                           ("conformal-lumped", "lumped")])
+def test_first_eigenpair_robin_matches_dense(operator, mass):
+    # ball-negR has a far Gershgorin bound (about -1.8e7 at r2); the shift
+    # certified below eta keeps the eigenpair accurate and the smallest
+    ops = assembled("ball-negR", 1, "robin")
+    L, M, _ = operators._pencil(ops, mass, operator)
+    w = scipy.linalg.eigh(L.toarray(), M.toarray(), eigvals_only=True,
+                          subset_by_index=[0, 1])
+    eig = operators.first_eigenpair(ops, mass=mass, operator=operator)
+    assert abs(eig.eigenvalue - w[0]) <= 1e-9 * abs(w[0])
+    assert eig.residual < 1e-10
+    assert eig.sign_change_free
+    assert operators._positive_definite(L - (w[0] - 1e-6 * abs(w[0])) * M)
+    assert not operators._positive_definite(L - 0.5 * (w[0] + w[1]) * M)
 
 
 def test_apply_conformal_laplacian_constant_on_sphere():
