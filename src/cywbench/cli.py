@@ -267,7 +267,6 @@ class RunConfig:
     route_override: Optional[str] = None
     S_spec: dict = field(default_factory=lambda: {"kind": "constant", "level": 1.0})
     tolerances: dict = field(default_factory=dict)
-    seed: int = 0
     output_dir: Optional[str] = None
 
     def validated(self) -> "RunConfig":
@@ -315,7 +314,6 @@ def config_from_sections(sections: dict) -> RunConfig:
         refinement=_int(run_sec, "refinement", 1),
         bc_mode=run_sec.get("bc_mode", "closed"),
         route_override=run_sec.get("route_override") or None,
-        seed=_int(run_sec, "seed", 0),
         output_dir=run_sec.get("output_dir") or None,
     )
     s_sec = sections.get("S", {"kind": "constant", "level": "1.0"})
@@ -492,7 +490,6 @@ def _exit_for_stage(stage: str) -> int:
 def run(config: RunConfig) -> int:
     """Run the full pipeline for one config; write report and plot data."""
     config = config.validated()
-    np.random.seed(config.seed)
     outdir = Path(config.output_dir or _default_output_dir())
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -568,8 +565,7 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "config", None):
         sections = parse_config_text(Path(args.config).read_text())
     cfg = config_from_sections(sections)
-    for attr in ("preset", "refinement", "bc_mode", "route_override", "seed",
-                 "output_dir"):
+    for attr in ("preset", "refinement", "bc_mode", "route_override", "output_dir"):
         val = getattr(args, attr.replace("-", "_"), None)
         if val is not None:
             setattr(cfg, attr, val)
@@ -719,7 +715,6 @@ def _add_common(parser) -> None:
     parser.add_argument("--bc-mode", dest="bc_mode",
                         choices=["closed", "dirichlet", "robin"])
     parser.add_argument("--route-override", dest="route_override")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--output-dir", dest="output_dir")
     parser.add_argument("--constant-S", dest="constant_S", type=float,
                         help="constant target curvature level")
@@ -728,20 +723,25 @@ def _add_common(parser) -> None:
                         help="named sphere target function")
 
 
+def _subcommand(action, name: str, summary: str) -> argparse.ArgumentParser:
+    return action.add_parser(name, help=summary, allow_abbrev=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cywbench",
         description="conformal scalar-curvature prescription workbench",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_mesh = sub.add_parser("mesh", help="mesh utilities")
+    p_mesh = _subcommand(sub, "mesh", "mesh utilities")
     mesh_sub = p_mesh.add_subparsers(dest="mesh_command", required=True)
-    p_gen = mesh_sub.add_parser("gen", help="write a preset mesh file")
+    p_gen = _subcommand(mesh_sub, "gen", "write a preset mesh file")
     _add_common(p_gen)
     p_gen.set_defaults(func=_cmd_mesh_gen)
 
-    p_eigen = sub.add_parser("eigen", help="first eigenpair")
+    p_eigen = _subcommand(sub, "eigen", "first eigenpair")
     _add_common(p_eigen)
     p_eigen.add_argument("--mass", default="consistent",
                          choices=["consistent", "lumped"])
@@ -749,32 +749,32 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["conformal", "conformal-lumped", "laplacian"])
     p_eigen.set_defaults(func=_cmd_eigen)
 
-    p_gate = sub.add_parser("gate", help="energy gate with epsilon sweep")
+    p_gate = _subcommand(sub, "gate", "energy gate with epsilon sweep")
     _add_common(p_gate)
     p_gate.add_argument("--beta", type=float, default=-0.1)
     p_gate.set_defaults(func=_cmd_gate)
 
-    p_solve = sub.add_parser("solve", help="solvers")
+    p_solve = _subcommand(sub, "solve", "solvers")
     solve_sub = p_solve.add_subparsers(dest="solve_command", required=True)
-    p_local = solve_sub.add_parser("local", help="local perturbed solve")
+    p_local = _subcommand(solve_sub, "local", "local perturbed solve")
     _add_common(p_local)
     p_local.add_argument("--beta0", type=float, default=-0.1)
     p_local.set_defaults(func=_cmd_solve_local)
 
-    p_presc = sub.add_parser("prescribe", help="full prescription pipeline")
+    p_presc = _subcommand(sub, "prescribe", "full prescription pipeline")
     _add_common(p_presc)
     p_presc.set_defaults(func=_cmd_prescribe)
 
-    p_check = sub.add_parser("check", help="obstruction checks")
+    p_check = _subcommand(sub, "check", "obstruction checks")
     check_sub = p_check.add_subparsers(dest="check_command", required=True)
-    p_ca = check_sub.add_parser("condition-a", help="antipodal symmetry check")
+    p_ca = _subcommand(check_sub, "condition-a", "antipodal symmetry check")
     _add_common(p_ca)
     p_ca.set_defaults(func=_cmd_check_condition_a)
-    p_obs = check_sub.add_parser("obstructions", help="integral obstructions")
+    p_obs = _subcommand(check_sub, "obstructions", "integral obstructions")
     _add_common(p_obs)
     p_obs.set_defaults(func=_cmd_check_obstructions)
 
-    p_bench = sub.add_parser("bench", help="run a config matrix")
+    p_bench = _subcommand(sub, "bench", "run a config matrix")
     p_bench.add_argument("configs", nargs="*", help="config files")
     p_bench.add_argument("--output-dir", dest="output_dir")
     p_bench.set_defaults(func=_cmd_bench)

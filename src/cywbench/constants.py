@@ -27,12 +27,3 @@ class DimensionConstants:
     def p_minus_2(self) -> float:
         """The conformal exponent p - 2 = 4/(n-2)."""
         return 4.0 / (self.n - 2)
-
-    @property
-    def critical_exponent(self) -> float:
-        """p - 1 = (n+2)/(n-2), the Sobolev-critical power."""
-        return (self.n + 2.0) / (self.n - 2.0)
-
-
-#: Constants for the meshed dimension.
-DIM3 = DimensionConstants(3)

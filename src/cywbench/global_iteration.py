@@ -64,7 +64,6 @@ class GluingConfig:
     gamma: float = 1e-2
     theta: float = 1.0
     mollifier_width: Optional[float] = None
-    transition_eps: Optional[float] = None
     beta_margin: Optional[float] = None
 
     def validated(self) -> "GluingConfig":
@@ -331,8 +330,6 @@ def glue_supersolution(
     gamma = config.gamma
     if config.mollifier_width is None:
         config.mollifier_width = 2.5 * mesh.min_edge_length()
-    if config.transition_eps is None:
-        config.transition_eps = 2.0 * mesh.min_edge_length()
     # shrink gamma until both margin constraints hold against the recorded
     # beta margin: 20*lam*g + 2*g^2*sup|R| < beta/2 and
     # 31*lam*(phi+g)^{p-2}*g < beta/2
@@ -1012,7 +1009,6 @@ def report_to_text(report: SolveReport, timestamp: bool = True) -> str:
         lines.append(f"gamma {g.gamma!r}")
         lines.append(f"theta {g.theta!r}")
         lines.append(f"mollifier_width {g.mollifier_width!r}")
-        lines.append(f"transition_eps {g.transition_eps!r}")
         lines.append(f"beta_margin {g.beta_margin!r}")
     if report.iteration is not None:
         it = report.iteration

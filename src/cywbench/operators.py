@@ -9,10 +9,13 @@ Conventions
   lumped pair (diagonal inverse), spectra and quotients use the consistent
   matrices.  The L^p norm is always the order-2 quadrature of the P1
   interpolant; this module is the single source of p-norm truth.
-* ``FreeQuadrature`` runs the same quadrature on free-sized vectors over the
-  tets that touch a free vertex.  It is exact for fields that vanish off the
-  free set: a tet without a free vertex adds exactly 0 to every load,
-  integral, norm and free x free mass entry of such a field.
+* Dirichlet operators and ``FreeQuadrature`` sweep only the *active* cells,
+  those with a free vertex (``_active_cells``): an entry (i, j) with i or j
+  free gets contributions from active cells only.  So the interior rows and
+  columns of Dirichlet operators are bitwise those of a whole-mesh assembly
+  (their other rows are partial and must not be read), and
+  ``FreeQuadrature`` is exact on free-sized vectors for fields that vanish
+  off the free set.
 """
 
 from __future__ import annotations
@@ -67,6 +70,11 @@ def _scatter_matrix(local: np.ndarray, cells: np.ndarray, n: int) -> csr_matrix:
 
 def _scatter_vector(local: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(cells.ravel(), local.ravel(), minlength=n)
+
+
+def _active_cells(cells: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Indices of the cells (rows of ``cells``) with a vertex in ``free``."""
+    return np.flatnonzero(np.isin(cells, free).any(axis=1))
 
 
 @dataclass
@@ -166,29 +174,25 @@ class AssembledOperators:
 class FreeQuadrature:
     """Quadrature helpers on free-sized vectors, swept over the active tets.
 
-    A tet is active when it has a free vertex.  Vectors ``uf`` hold the values
-    at ``free`` and stand for fields that vanish at every other vertex; the
-    fixed vertices of an active tet read the zero slot ``nf``.  Only index
-    arrays are kept, and no reference to the operators, which cache this
-    object; the density is read from the geometry per call.
+    Vectors ``uf`` hold the values at ``free`` and stand for fields that
+    vanish at every other vertex; the fixed vertices of an active tet read the
+    zero slot ``nf``.  Only index arrays and the active density are kept, and
+    no reference to the operators, which cache this object.
     """
 
     def __init__(self, ops: AssembledOperators, free: np.ndarray):
-        self.geom, self.p = ops.geom, ops.constants.p
+        self.p = ops.constants.p
         self.nf = nf = len(free)
+        self.tets = _active_cells(ops.mesh.tets, free)
+        self.density = ops.geom.volume_density[self.tets]
         slot = np.full(ops.num_vertices, nf, dtype=np.int64)
         slot[free] = np.arange(nf)
-        cells = slot[ops.mesh.tets]
-        self.tets = np.flatnonzero((cells < nf).any(axis=1))
         self.vertices = ops.mesh.tets[self.tets]
-        self.cells = cells[self.tets]
+        self.cells = slot[self.vertices]
         rows = np.repeat(self.cells, 4, axis=1).ravel()
         cols = np.tile(self.cells, (1, 4)).ravel()
         self._pairs = np.flatnonzero((rows < nf) & (cols < nf))
         self._rows, self._cols = rows[self._pairs], cols[self._pairs]
-
-    def _density(self) -> np.ndarray:
-        return self.geom.volume_density[self.tets]
 
     def sample(self, field: np.ndarray) -> np.ndarray:
         """A full-length vertex field at the active quadrature points."""
@@ -198,7 +202,7 @@ class FreeQuadrature:
         return np.einsum("qc,tc->tq", TET_QP, np.append(uf, 0.0)[self.cells])
 
     def integrate(self, w_q: np.ndarray) -> float:
-        return float(np.einsum("q,tq,tq->", TET_QW, self._density(), w_q))
+        return float(np.einsum("q,tq,tq->", TET_QW, self.density, w_q))
 
     def lp_norm(self, uf: np.ndarray) -> float:
         return self.integrate(np.abs(self.quad_values(uf)) ** self.p) ** (1.0 / self.p)
@@ -207,12 +211,12 @@ class FreeQuadrature:
         """Free rows of the consistent load of Sq*|u|^{p-2}u (Sq sampled)."""
         uq = self.quad_values(uf)
         w = np.abs(uq) ** (self.p - 2.0) * uq * Sq
-        loc = _kernels.local_load(self._density(), w, TET_QP, TET_QW)
+        loc = _kernels.local_load(self.density, w, TET_QP, TET_QW)
         return _scatter_vector(loc, self.cells, self.nf + 1)[:-1]
 
     def weighted_mass(self, w_q: np.ndarray) -> csr_matrix:
         """Free x free block of the weighted consistent mass matrix."""
-        loc = _kernels.local_mass(self._density(), w_q, TET_QP, TET_QW).ravel()
+        loc = _kernels.local_mass(self.density, w_q, TET_QP, TET_QW).ravel()
         entries = (loc[self._pairs], (self._rows, self._cols))
         return coo_matrix(entries, shape=(self.nf, self.nf)).tocsr()
 
@@ -261,7 +265,9 @@ def assemble(
 
     ``bc_mode`` is one of ``closed``, ``dirichlet`` (requires a Domain whose
     interior indexes the unknowns), or ``robin`` (requires a boundary and a
-    mean-curvature field in ``geom``).
+    mean-curvature field in ``geom``).  Dirichlet operators carry only the
+    cells with an interior vertex: their interior rows and columns are exact,
+    their other rows are partial and must not be read.
     """
     if bc_mode not in ("closed", "dirichlet", "robin"):
         raise ValueError(f"unknown bc_mode {bc_mode!r}")
@@ -279,19 +285,25 @@ def assemble(
         raise ValueError("scalar curvature field inconsistent with mesh")
 
     n = mesh.num_vertices
-    dens = geom.volume_density
+    tets, metric, dens = mesh.tets, geom.metric, geom.volume_density
+    faces, bdens = mesh.boundary_faces, geom.boundary_density
+    if bc_mode == "dirichlet":  # the interior rows see only active cells
+        act = _active_cells(tets, domain.interior_set)
+        tets, metric, dens = tets[act], metric[act], dens[act]
+        if bdens is not None:
+            act = _active_cells(faces, domain.interior_set)
+            faces, bdens = faces[act], bdens[act]
 
-    k_loc = _kernels.local_stiffness(geom.metric, dens, BARY_GRAD, TET_QW)
-    K = _scatter_matrix(k_loc, mesh.tets, n)
+    k_loc = _kernels.local_stiffness(metric, dens, BARY_GRAD, TET_QW)
+    K = _scatter_matrix(k_loc, tets, n)
 
-    ones = np.ones((nt, nq))
-    m_loc = _kernels.local_mass(dens, ones, TET_QP, TET_QW)
-    M = _scatter_matrix(m_loc, mesh.tets, n)
+    m_loc = _kernels.local_mass(dens, np.ones_like(dens), TET_QP, TET_QW)
+    M = _scatter_matrix(m_loc, tets, n)
 
     Rv = geom.scalar_curvature.values
-    Rq = np.einsum("qc,tc->tq", TET_QP, Rv[mesh.tets])
+    Rq = np.einsum("qc,tc->tq", TET_QP, Rv[tets])
     mr_loc = _kernels.local_mass(dens, Rq, TET_QP, TET_QW)
-    MR = _scatter_matrix(mr_loc, mesh.tets, n)
+    MR = _scatter_matrix(mr_loc, tets, n)
 
     M_lumped = np.asarray(M.sum(axis=1)).ravel()
     MR_lumped = M_lumped * Rv
@@ -299,19 +311,18 @@ def assemble(
     Mh = Mb = None
     Mb_lumped = Mh_lumped = None
     if mesh.boundary_faces.size:
-        bdens = geom.boundary_density
         if bdens is None:
             raise ValueError("mesh has boundary but geom lacks boundary_density")
         bones = np.ones_like(bdens)
         mb_loc = _kernels.local_tri_mass(bdens, bones, TRI_QP, TRI_QW)
-        Mb = _scatter_matrix(mb_loc, mesh.boundary_faces, n)
+        Mb = _scatter_matrix(mb_loc, faces, n)
         Mb_lumped = np.asarray(Mb.sum(axis=1)).ravel()
         if geom.mean_curvature is not None:
             hv = geom.mean_curvature.values
             robin_w = 2.0 * constants.a / constants.p_minus_2
-            hq = robin_w * np.einsum("qc,fc->fq", TRI_QP, hv[mesh.boundary_faces])
+            hq = robin_w * np.einsum("qc,fc->fq", TRI_QP, hv[faces])
             mh_loc = _kernels.local_tri_mass(bdens, hq, TRI_QP, TRI_QW)
-            Mh = _scatter_matrix(mh_loc, mesh.boundary_faces, n)
+            Mh = _scatter_matrix(mh_loc, faces, n)
             Mh_lumped = Mb_lumped * (robin_w * hv)
 
     return AssembledOperators(

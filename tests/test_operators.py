@@ -239,3 +239,51 @@ def test_free_quadrature_matches_whole_mesh(preset_id, radius):
     W = fq.weighted_mass(w[fq.tets])
     assert W.shape == ref.shape
     assert abs(W - ref).max() <= 1e-13 * abs(ref).max()
+
+
+def _interior_rows_equal(got, want, interior):
+    if want is None:
+        return got is None
+    if hasattr(want, "tocsr"):
+        got, want = got.tocsr()[interior], want.tocsr()[interior]
+        return (np.array_equal(got.indptr, want.indptr)
+                and np.array_equal(got.indices, want.indices)
+                and np.array_equal(got.data, want.data))
+    return np.array_equal(got[interior], want[interior])
+
+
+@pytest.mark.parametrize("preset_id", ["ball-negR", "bump-t3"])
+def test_dirichlet_assembly_matches_whole_mesh_on_interior_rows(preset_id, monkeypatch):
+    mesh, geom = preset(preset_id, 1)
+    if preset_id == "ball-negR":
+        # a cap through the mesh boundary whose unknowns include boundary
+        # vertices, so the boundary matrices have nonzero interior rows
+        sel = mesh.vertices[:, 0] > 0.2
+        touches_out = (mesh.vertex_graph() != 0) @ ~sel
+        dom = geometry.Domain(np.flatnonzero(sel), np.flatnonzero(sel & ~touches_out),
+                              np.flatnonzero(sel & touches_out), mesh.mesh_id)
+        assert mesh.vertex_flags[dom.interior_set].any()
+    else:
+        center = np.asarray(geom.metadata["marked_region_center"])
+        dom = geometry.extract_subdomain(
+            mesh, lambda v: np.linalg.norm(mesh.displacement(
+                np.broadcast_to(center, v.shape), v), axis=1) < 0.45)
+    whole = operators.assemble(mesh, geom, CST, bc_mode="closed")
+    swept = []
+    kernel = _kernels.local_stiffness
+
+    def counting(metric, *args):
+        swept.append(len(metric))
+        return kernel(metric, *args)
+
+    monkeypatch.setattr(_kernels, "local_stiffness", counting)
+    ops = operators.assemble(mesh, geom, CST, bc_mode="dirichlet", domain=dom)
+    assert swept and swept[0] < mesh.num_tets
+    interior = dom.interior_set
+    for name in ("stiffness", "mass", "curvature_mass", "boundary_mass",
+                 "boundary_mass_plain", "mass_lumped", "curvature_mass_lumped",
+                 "boundary_mass_plain_lumped", "boundary_mass_lumped"):
+        got, want = getattr(ops, name), getattr(whole, name)
+        assert _interior_rows_equal(got, want, interior), name
+    if mesh.boundary_faces.size:
+        assert abs(whole.boundary_mass_plain[interior]).sum() > 0
