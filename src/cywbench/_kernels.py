@@ -1,177 +1,23 @@
-"""Element-local assembly kernels with numba and pure-numpy backends.
-
-The backend is chosen by the ``CYW_BACKEND`` environment variable
-(``"numba"`` or ``"numpy"``); when unset, numba is used if importable.
-Both backends produce element matrices that agree to roundoff; global
-matrices may differ in the last bits because summation order differs.
-"""
+"""Element-local assembly kernels, vectorized over cells with numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:  # pragma: no cover - exercised indirectly
-    import numba
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        def wrap(f):
-            return f
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-__all__ = [
-    "HAS_NUMBA",
-    "active_backend",
-    "local_stiffness",
-    "local_mass",
-    "local_tri_mass",
-    "local_load",
-]
-
-
-def active_backend() -> str:
-    """Resolve the assembly backend name from the environment."""
-    choice = os.environ.get("CYW_BACKEND", "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("CYW_BACKEND=numba requested but numba is unavailable")
-        return "numba"
-    if choice:
-        raise ValueError(f"unknown CYW_BACKEND {choice!r} (use 'numba' or 'numpy')")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-
-def _np_local_stiffness(metric, density, grads, qw):
-    ginv = np.linalg.inv(metric)  # (nt, nq, 3, 3)
-    flux = np.einsum("ci,tqij->tqcj", grads, ginv)  # (nt, nq, 4, 3)
-    loc = np.einsum(
-        "q,tq,tqcj,dj->tcd", qw, density, flux, grads, optimize=True
-    )
-    return loc
-
-
-def _np_local_mass(density, weight, qp, qw):
-    scal = qw[None, :] * density * weight  # (nt, nq)
-    return np.einsum("tq,qc,qd->tcd", scal, qp, qp, optimize=True)
-
-
-def _np_local_load(density, weight, qp, qw):
-    scal = qw[None, :] * density * weight
-    return np.einsum("tq,qc->tc", scal, qp, optimize=True)
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nb_local_stiffness(metric, density, grads, qw):
-        nt, nq = density.shape
-        nc = grads.shape[0]
-        out = np.zeros((nt, nc, nc))
-        for t in range(nt):
-            for q in range(nq):
-                g = metric[t, q]
-                # explicit 3x3 inverse
-                c00 = g[1, 1] * g[2, 2] - g[1, 2] * g[2, 1]
-                c01 = g[0, 2] * g[2, 1] - g[0, 1] * g[2, 2]
-                c02 = g[0, 1] * g[1, 2] - g[0, 2] * g[1, 1]
-                c10 = g[1, 2] * g[2, 0] - g[1, 0] * g[2, 2]
-                c11 = g[0, 0] * g[2, 2] - g[0, 2] * g[2, 0]
-                c12 = g[0, 2] * g[1, 0] - g[0, 0] * g[1, 2]
-                c20 = g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]
-                c21 = g[0, 1] * g[2, 0] - g[0, 0] * g[2, 1]
-                c22 = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-                det = g[0, 0] * c00 + g[0, 1] * c10 + g[0, 2] * c20
-                s = qw[q] * density[t, q] / det
-                for a in range(nc):
-                    ga0 = (
-                        grads[a, 0] * c00 + grads[a, 1] * c01 + grads[a, 2] * c02
-                    )
-                    ga1 = (
-                        grads[a, 0] * c10 + grads[a, 1] * c11 + grads[a, 2] * c12
-                    )
-                    ga2 = (
-                        grads[a, 0] * c20 + grads[a, 1] * c21 + grads[a, 2] * c22
-                    )
-                    for b in range(nc):
-                        out[t, a, b] += s * (
-                            ga0 * grads[b, 0]
-                            + ga1 * grads[b, 1]
-                            + ga2 * grads[b, 2]
-                        )
-        return out
-
-    @njit(cache=True)
-    def _nb_local_mass(density, weight, qp, qw):
-        nt, nq = density.shape
-        nc = qp.shape[1]
-        out = np.zeros((nt, nc, nc))
-        for t in range(nt):
-            for q in range(nq):
-                s = qw[q] * density[t, q] * weight[t, q]
-                for a in range(nc):
-                    for b in range(nc):
-                        out[t, a, b] += s * qp[q, a] * qp[q, b]
-        return out
-
-    @njit(cache=True)
-    def _nb_local_load(density, weight, qp, qw):
-        nt, nq = density.shape
-        nc = qp.shape[1]
-        out = np.zeros((nt, nc))
-        for t in range(nt):
-            for q in range(nq):
-                s = qw[q] * density[t, q] * weight[t, q]
-                for a in range(nc):
-                    out[t, a] += s * qp[q, a]
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
+__all__ = ["local_stiffness", "local_mass", "local_tri_mass", "local_load"]
 
 
 def local_stiffness(metric, density, grads, qw):
     """Element stiffness matrices (nt, nc, nc) for the metric-weighted form."""
-    if active_backend() == "numba":
-        return _nb_local_stiffness(
-            np.ascontiguousarray(metric),
-            np.ascontiguousarray(density),
-            np.ascontiguousarray(grads),
-            np.ascontiguousarray(qw),
-        )
-    return _np_local_stiffness(metric, density, grads, qw)
+    ginv = np.linalg.inv(metric)  # (nt, nq, 3, 3)
+    flux = np.einsum("ci,tqij->tqcj", grads, ginv)  # (nt, nq, 4, 3)
+    return np.einsum("q,tq,tqcj,dj->tcd", qw, density, flux, grads, optimize=True)
 
 
 def local_mass(density, weight, qp, qw):
     """Element mass matrices (nt, nc, nc) with a per-quadrature-point weight."""
-    if active_backend() == "numba":
-        return _nb_local_mass(
-            np.ascontiguousarray(density),
-            np.ascontiguousarray(weight),
-            np.ascontiguousarray(qp),
-            np.ascontiguousarray(qw),
-        )
-    return _np_local_mass(density, weight, qp, qw)
+    scal = qw[None, :] * density * weight  # (nt, nq)
+    return np.einsum("tq,qc,qd->tcd", scal, qp, qp, optimize=True)
 
 
 def local_tri_mass(bdensity, weight, qp, qw):
@@ -181,11 +27,5 @@ def local_tri_mass(bdensity, weight, qp, qw):
 
 def local_load(density, weight, qp, qw):
     """Element load vectors (nt, nc) for a quadrature-sampled source."""
-    if active_backend() == "numba":
-        return _nb_local_load(
-            np.ascontiguousarray(density),
-            np.ascontiguousarray(weight),
-            np.ascontiguousarray(qp),
-            np.ascontiguousarray(qw),
-        )
-    return _np_local_load(density, weight, qp, qw)
+    scal = qw[None, :] * density * weight
+    return np.einsum("tq,qc->tc", scal, qp, optimize=True)

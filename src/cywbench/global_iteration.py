@@ -10,8 +10,9 @@ recomputed curvature u^{1-p} (a K u + m R u)/m equal S exactly, which is what
 the verification step measures.  Sub-solutions are exact zero extensions of
 local solutions, verified in the assembled (consistent) weak form against
 the nonnegative nodal test cone; super-solution candidates are gluings of
-the local solution with the scaled first eigenfunction, verified pointwise
-in the lumped strong form.
+the local solution with the scaled first eigenfunction, root-found on the
+lumped rows by ``operators.damped_newton`` and verified pointwise in the
+lumped strong form.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import operators as _operators
 from . import sphere_tools as _sphere
 from .constants import DimensionConstants
 from .geometry import Domain, GeometrySpec, Mesh, ScalarField
-from .operators import AssembledOperators, EigenResult
+from .operators import AssembledOperators, EigenResult, damped_newton, dual_norm
 
 __all__ = [
     "GluingConfig",
@@ -136,48 +137,6 @@ def _consistent_rows(ops: AssembledOperators, u: np.ndarray, S: np.ndarray):
     if ops.bc_mode == "robin" and ops.boundary_mass is not None:
         r = r + ops.boundary_mass @ u
     return r
-
-
-def _lumped_newton(ops, u0, S, free=None, max_iter=80, tol=1e-12):
-    """Damped Newton on the lumped rows; optional Dirichlet-style restriction."""
-    n = ops.num_vertices
-    u = u0.copy()
-    if free is None:
-        free = np.arange(n)
-    mL = ops.mass_lumped[free]
-
-    def dn(r):
-        return math.sqrt(float(r @ (r / mL)))
-
-    r = _lumped_rows(ops, u, S)[free]
-    rn = dn(r)
-    scale = max(dn((ops.mass_lumped * S * np.abs(u) ** (ops.constants.p - 1.0))[free]),
-                dn((ops.constants.a * (ops.stiffness @ u))[free]), 1e-300)
-    for _ in range(max_iter):
-        if rn <= tol * scale:
-            break
-        J = _lumped_jacobian(ops, u, S)
-        if len(free) != n:
-            J = J[free][:, free].tocsc()
-        try:
-            delta = splu(J).solve(-r)
-        except RuntimeError:
-            break
-        theta = 1.0
-        accepted = False
-        for _ in range(40):
-            cand = u.copy()
-            cand[free] = u[free] + theta * delta
-            rc = _lumped_rows(ops, cand, S)[free]
-            rcn = dn(rc)
-            if rcn < rn:
-                u, r, rn = cand, rc, rcn
-                accepted = True
-                break
-            theta *= 0.5
-        if not accepted:
-            break
-    return u, rn / scale
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +277,12 @@ def glue_supersolution(
 
     When theta*phi already dominates the local solution it is returned
     unchanged.  Otherwise the transition-cutoff blend of the two envelopes
-    initializes a damped Newton solve of the lumped equation; the converged
+    initializes ``operators.damped_newton`` on the lumped rows; the converged
     root is shifted by a tiny positive constant, which makes every row
     strictly positive up to 1e-10 slack.  On validation failure gamma is
-    halved, then theta, for at most 8 rounds.
+    halved, then theta, for at most 8 rounds; the final ``PipelineError``
+    lists each attempt's gamma, phi scale, Newton status, steps and relative
+    residual.
     """
     config.validated()
     phi = phi_scaled.values.copy()
@@ -346,7 +307,18 @@ def glue_supersolution(
             gamma *= 0.5
         config.gamma = gamma
 
+    mL = ops.mass_lumped
+
+    def rows_and_norm(u):
+        r = _lumped_rows(ops, u, Sv)
+        return r, dual_norm(r, mL)
+
+    def newton_step(u, r):
+        return splu(_lumped_jacobian(ops, u, Sv)).solve(-r)
+
     worst = (None, 0.0)
+    phi_scale = 1.0
+    attempts = []
     for attempt in range(9):
         if (phi >= u1v).all():
             return ScalarField(
@@ -369,7 +341,14 @@ def glue_supersolution(
         blend = chi1 * u1v + chi2 * (phi + gamma) + chi3 * phi
         init = np.maximum.reduce([blend, phi, u1v]) + gamma / 4.0
 
-        u_star, rel = _lumped_newton(ops, init, Sv)
+        # the stopping scale stays that of the initial blend
+        scale = max(dual_norm(mL * Sv * np.abs(init) ** (ops.constants.p - 1.0), mL),
+                    dual_norm(ops.constants.a * (ops.stiffness @ init), mL), 1e-300)
+        res = damped_newton(init, rows_and_norm, newton_step,
+                            lambda u, r, rn: rn <= 1e-12 * scale, max_iter=80)
+        u_star, rel = res.x, res.norm / scale
+        attempts.append(f"gamma {gamma:.3e} phi-scale {phi_scale:g} Newton {res.status} "
+                        f"after {len(res.steps)} steps, relative residual {rel:.3e}")
         shift = 1e-13 * float(np.abs(u_star).max())
         u_plus = u_star + shift
         rows = _strong_residual(ops, u_plus, Sv)
@@ -400,10 +379,12 @@ def glue_supersolution(
             gamma *= 0.5
         else:
             phi *= 0.5
+            phi_scale *= 0.5
     raise PipelineError(
         "glue_supersolution",
         f"auto-tune exhausted; worst vertex {worst[0]} with strong-residual "
-        f"margin {worst[1]:.3e}",
+        f"margin {worst[1]:.3e}; attempts: "
+        + "; ".join(f"[{k}] {a}" for k, a in enumerate(attempts)),
     )
 
 
@@ -515,8 +496,6 @@ def monotone_iterate(
         if ok:
             break
         k *= 2.0
-    else:  # pragma: no cover
-        pass
     state = IterationState(
         shift_k=k,
         iterates=iterates,
@@ -535,14 +514,10 @@ def monotone_iterate(
     if u.min() <= 0:
         raise PipelineError("monotone_iterate", "limit not strictly positive")
     # relative residual of the limit
-    rows = _lumped_rows(ops, u, Sv)
     mL = ops.mass_lumped
-    scale = max(
-        math.sqrt(float((mL * Sv * u ** (p - 1.0)) @ ((mL * Sv * u ** (p - 1.0)) / mL))),
-        1e-300,
-    )
+    scale = max(dual_norm(mL * Sv * u ** (p - 1.0), mL), 1e-300)
     state.metadata["final_relative_residual"] = (
-        math.sqrt(float(rows @ (rows / mL))) / scale
+        dual_norm(_lumped_rows(ops, u, Sv), mL) / scale
     )
     return ScalarField(u, u_minus.mesh_id, {"iterations": len(iterates) - 1}), state
 

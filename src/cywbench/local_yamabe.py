@@ -4,10 +4,12 @@ The local problem on a domain Omega is
 
     a*(-Laplace_g) u + (R_g + beta) u = lambda * u^{p-1},   u = 0 on the frontier,
 
-solved by constrained quotient minimization over the unit L^p sphere followed
-by a Newton polish.  The energy gate compares the test-function quotient
-Q_eps against a discrete Sobolev-quotient estimate T_est and admits the solve
-only when Q_eps < T_used.
+solved by constrained quotient minimization over the unit L^p sphere, a
+bordered Newton on the constrained system and a Newton polish; both Newton
+solves are ``operators.damped_newton`` with a positivity clamp, and their
+statuses go into the solution metadata.  The energy gate compares the
+test-function quotient Q_eps against a discrete Sobolev-quotient estimate
+T_est and admits the solve only when Q_eps < T_used.
 
 Every test function, iterate and Newton step vanishes off the interior
 vertices of Omega.  The quadrature therefore runs only over the tets that
@@ -22,13 +24,15 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import bmat, csc_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
 from . import geometry as _geometry
 from .constants import DimensionConstants
 from .geometry import Domain, GeometrySpec, Mesh, ScalarField
-from .operators import AssembledOperators, assemble, sharp_sobolev_constant
+from .operators import (AssembledOperators, assemble, damped_newton, dual_norm,
+                        sharp_sobolev_constant)
 
 __all__ = [
     "TestFunctionParams",
@@ -120,10 +124,6 @@ def _deep_interior_vertex(mesh: Mesh, domain: Domain):
     inside = domain.interior_set
     k = int(np.argmax(dist[inside]))
     return int(inside[k]), float(dist[inside][k])
-
-
-def _dual_norm(r: np.ndarray, m_lumped: np.ndarray) -> float:
-    return math.sqrt(float(r @ (r / m_lumped)))
 
 
 def _get_ops(mesh, domain, geom, constants, ops):
@@ -273,58 +273,10 @@ def energy_gate(
 # ---------------------------------------------------------------------------
 
 
-def _bordered_newton(A, u, mu, Nload, weighted_p_integral, jacobian_mass, p,
-                     mL, info):
-    """Newton on the constrained system A u = mu N(u), weighted p-mass = 1.
-
-    The bordered system stays nonsingular where the unconstrained Jacobian
-    is degenerate along the scaling direction, which is the generic state at
-    a constrained quotient minimizer.
-    """
-    from scipy.sparse import bmat, csc_matrix
-
-    for _ in range(80):
-        F = Nload(u)
-        r1 = A @ u - mu * F
-        r2 = weighted_p_integral(u) - 1.0
-        rn = math.sqrt(_dual_norm(r1, mL) ** 2 + r2**2)
-        if rn <= 1e-13 * max(abs(mu), 1.0):
-            break
-        W = jacobian_mass(u, mu)
-        B = bmat(
-            [
-                [(A - W).tocsr(), csc_matrix(-F[:, None])],
-                [csc_matrix(p * F[None, :]), None],
-            ]
-        ).tocsc()
-        try:
-            sol = splu(B).solve(np.concatenate([-r1, [-r2]]))
-        except RuntimeError:
-            break
-        du, dmu = sol[:-1], sol[-1]
-        theta = 1.0
-        accepted = False
-        for _ in range(40):
-            cu = np.maximum(u + theta * du, 0.0)
-            cm = mu + theta * dmu
-            c1 = A @ cu - cm * Nload(cu)
-            c2 = weighted_p_integral(cu) - 1.0
-            cn = math.sqrt(_dual_norm(c1, mL) ** 2 + c2**2)
-            if cn < rn:
-                neg = (u + theta * du) < 0
-                info["clamp_events"] += int(neg.sum())
-                u, mu = cu, cm
-                accepted = True
-                break
-            theta *= 0.5
-        if not accepted:
-            break
-    if mu <= 0:
-        raise ValueError(
-            "constrained critical multiplier is nonpositive: no positive "
-            "rescaling solves the equation"
-        )
-    return u, mu
+def _clamp_negative(v: np.ndarray):
+    """Positivity projection for ``damped_newton``: (clamped v, clamped entries)."""
+    neg = int(np.count_nonzero(v < 0))
+    return (np.maximum(v, 0.0) if neg else v), neg
 
 
 def _solve_critical(
@@ -413,53 +365,66 @@ def _solve_critical(
                 "rescaling of the minimizer solves the equation (sign "
                 "hypothesis failed)"
             )
-        u, Q_min = _bordered_newton(A, u, Q_min, Nload, weighted_p_integral,
-                                    jacobian_mass, p, mL, info)
+        # bordered Newton on A u = mu N(u), weighted p-mass = 1: the border
+        # keeps it nonsingular along the scaling direction, where the
+        # unconstrained Jacobian degenerates at a constrained minimizer
+        def bordered_residual(x):
+            u, mu = x[:-1], x[-1]
+            F = Nload(u)
+            r1 = A @ u - mu * F
+            r2 = weighted_p_integral(u) - 1.0
+            return (r1, r2, F), math.sqrt(dual_norm(r1, mL) ** 2 + r2**2)
+
+        def bordered_step(x, r):
+            r1, r2, F = r
+            W = jacobian_mass(x[:-1], x[-1])
+            B = bmat([[(A - W).tocsr(), csc_matrix(-F[:, None])],
+                      [csc_matrix(p * F[None, :]), None]]).tocsc()
+            return splu(B).solve(np.concatenate([-r1, [-r2]]))
+
+        def clamp_u(x):
+            x[:-1], clamped = _clamp_negative(x[:-1])
+            return x, clamped
+
+        res = damped_newton(
+            np.append(u, Q_min), bordered_residual, bordered_step,
+            lambda x, r, rn: rn <= 1e-13 * max(abs(x[-1]), 1.0),
+            project=clamp_u, max_iter=80)
+        u, Q_min = res.x[:-1], float(res.x[-1])
+        info["bordered_status"] = res.status
+        info["clamp_events"] += sum(step[2] for step in res.steps)
+        if Q_min <= 0:
+            raise ValueError(
+                "constrained critical multiplier is nonpositive: no positive "
+                "rescaling solves the equation"
+            )
         info["Q_min"] = Q_min
         u = u * Q_min ** (1.0 / (p - 2.0))
 
     # Newton polish with backtracking and positivity clamp
     def residual(u):
         N = Nload(u)
-        return A @ u - N, N
+        Au = A @ u
+        r = Au - N
+        scale = max(dual_norm(N, mL), dual_norm(Au, mL), 1e-300)
+        return (r, scale), dual_norm(r, mL)
 
-    r, N = residual(u)
-    scale = max(_dual_norm(N, mL), _dual_norm(A @ u, mL), 1e-300)
-    rn = _dual_norm(r, mL)
-    for it in range(60):
-        if rn <= 1e-11 * scale:
-            break
-        Jmat = (A - jacobian_mass(u)).tocsc()
-        try:
-            delta = splu(Jmat).solve(-r)
-        except RuntimeError as exc:
-            raise RuntimeError(f"Newton linear solve failed: {exc}") from exc
-        theta = 1.0
-        accepted = False
-        for _ in range(40):
-            cand = u + theta * delta
-            neg = cand < 0
-            if neg.any():
-                info["clamp_events"] += int(neg.sum())
-                cand = np.maximum(cand, 0.0)
-            rc, Nc = residual(cand)
-            rcn = _dual_norm(rc, mL)
-            if rcn < rn:
-                u, r, rn, N = cand, rc, rcn, Nc
-                accepted = True
-                break
-            theta *= 0.5
-        if not accepted:
-            break
-        scale = max(_dual_norm(N, mL), _dual_norm(A @ u, mL), 1e-300)
-    rel = rn / scale
-    if rel > 1e-8:
+    res = damped_newton(
+        u, residual,
+        lambda u, r: splu((A - jacobian_mass(u)).tocsc()).solve(-r[0]),
+        lambda u, r, rn: rn <= 1e-11 * r[1],
+        project=_clamp_negative, max_iter=60)
+    u = res.x
+    rel = res.norm / res.residual[1]
+    info["clamp_events"] += sum(step[2] for step in res.steps)
+    if res.status == "singular" or rel > 1e-8:
         raise RuntimeError(
-            f"Newton polish did not reach the residual tolerance "
-            f"(relative residual {rel:.3e} > 1e-8)"
+            f"Newton polish {res.status} after {len(res.steps)} steps "
+            f"(relative residual {rel:.3e}, tolerance 1e-8)"
         )
     info["relative_residual"] = rel
-    info["newton_iterations"] = it
+    info["newton_iterations"] = len(res.steps)
+    info["newton_status"] = res.status
     u_full = np.zeros(ops.num_vertices)
     u_full[free] = u
     return u_full, info
@@ -714,9 +679,7 @@ def solve_flat_punctured(
     N = fq.nonlinear_load(u[free], fq.sample(Qv))
     rc = (ops_curved.conformal_laplacian_matrix() @ u)[free] - N
     mL = ops_curved.mass_lumped[free]
-    info["curved_relative_residual"] = _dual_norm(rc, mL) / max(
-        _dual_norm(N, mL), 1e-300
-    )
+    info["curved_relative_residual"] = dual_norm(rc, mL) / max(dual_norm(N, mL), 1e-300)
     return ScalarField(u, mesh.mesh_id, info)
 
 

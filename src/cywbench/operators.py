@@ -46,9 +46,12 @@ from .geometry import (
 __all__ = [
     "AssembledOperators",
     "FreeQuadrature",
+    "NewtonResult",
     "EigenResult",
     "LiYauInputs",
     "assemble",
+    "damped_newton",
+    "dual_norm",
     "apply_conformal_laplacian",
     "first_eigenpair",
     "yamabe_quotient",
@@ -221,6 +224,74 @@ class FreeQuadrature:
         return coo_matrix(entries, shape=(self.nf, self.nf)).tocsr()
 
 
+# ---------------------------------------------------------------------------
+# damped Newton
+# ---------------------------------------------------------------------------
+
+
+def dual_norm(r: np.ndarray, m_lumped: np.ndarray) -> float:
+    """sqrt(r^T M_L^{-1} r): the lumped dual norm of a vector of weak-form rows."""
+    return math.sqrt(float(r @ (r / m_lumped)))
+
+
+@dataclass
+class NewtonResult:
+    """Outcome of :func:`damped_newton`.
+
+    ``residual`` is what ``residual(x)`` returned for the final iterate, and
+    ``steps`` holds one ``(norm, theta, clamped)`` record per accepted step.
+    """
+
+    x: np.ndarray
+    residual: object
+    norm: float
+    status: str
+    steps: list
+
+
+def damped_newton(x, residual, solve, converged, project=None, max_iter=60):
+    """Newton with step halving on the residual norm (Deuflhard 2004, ch. 3).
+
+    ``residual(x)`` returns ``(r, norm)``, with ``r`` whatever ``solve`` and
+    ``converged`` need; ``solve(x, r)`` returns the Newton step and raises
+    RuntimeError when the linear system is singular; ``converged(x, r, norm)``
+    is the stopping rule, tested on every iterate.  A step tries theta = 1,
+    1/2, ..., 2^-39 and accepts the first candidate whose norm drops, after
+    ``project(cand) -> (cand, clamped entries)`` when given; the accepted
+    candidate's residual is reused.  The status is ``converged``,
+    ``stalled`` (no halving lowers the norm), ``singular`` or ``max-iter``.
+    """
+    r, norm = residual(x)
+    steps = []
+    while True:
+        if converged(x, r, norm):
+            status = "converged"
+            break
+        if len(steps) == max_iter:
+            status = "max-iter"
+            break
+        try:
+            dx = solve(x, r)
+        except RuntimeError:
+            status = "singular"
+            break
+        theta = 1.0
+        for _ in range(40):
+            cand, clamped = x + theta * dx, 0
+            if project is not None:
+                cand, clamped = project(cand)
+            rc, nc = residual(cand)
+            if nc < norm:
+                break
+            theta *= 0.5
+        else:
+            status = "stalled"
+            break
+        x, r, norm = cand, rc, nc
+        steps.append((norm, theta, clamped))
+    return NewtonResult(x, r, norm, status, steps)
+
+
 @dataclass
 class EigenResult:
     eigenvalue: float
@@ -340,7 +411,6 @@ def assemble(
         boundary_mass_plain=Mb,
         boundary_mass_plain_lumped=Mb_lumped,
         boundary_mass_lumped=Mh_lumped,
-        metadata={"backend": _kernels.active_backend()},
     )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,21 @@ def test_prescribe_tags_local_solve_failure(monkeypatch):
         gi.prescribe(mesh, geom, S)
     assert err.value.stage == "local-solve"
     assert isinstance(err.value.__cause__, RuntimeError)
+
+
+def test_glue_failure_lists_each_attempt():
+    mesh, geom, S = _bump_admissible_target(0.45)
+    with pytest.raises(gi.PipelineError) as err:
+        gi.prescribe(mesh, geom, S)
+    assert err.value.stage == "glue_supersolution"
+    message = str(err.value)
+    attempts = message.split("attempts: ")[1].split("; ")
+    assert len(attempts) == 9
+    pattern = (r"\[(\d)\] gamma \S+ phi-scale \S+ Newton "
+               r"(converged|stalled|singular|max-iter) after \d+ steps, "
+               r"relative residual \S+")
+    for k, attempt in enumerate(attempts):
+        match = re.fullmatch(pattern, attempt)
+        assert match and int(match.group(1)) == k, attempt
+    assert "phi-scale 1 " in attempts[0] and "phi-scale 0.5 " in attempts[5]
+    assert err.value.report.verification["failure"] == message

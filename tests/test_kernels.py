@@ -1,66 +1,10 @@
-"""Backend selection and cross-backend agreement of the element kernels."""
+"""Shapes and symmetry of the element kernels."""
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from cywbench import _kernels
-
-_PROBE = r"""
-import json, sys
-import numpy as np
-from cywbench import geometry, operators
-from cywbench._kernels import active_backend
-from cywbench.constants import DimensionConstants
-
-mesh, geom = geometry.build_preset("ball-negR", 1)
-ops = operators.assemble(mesh, geom, DimensionConstants(3), bc_mode="robin")
-u = np.cos(np.arange(mesh.num_vertices, dtype=float))
-print(json.dumps({
-    "backend": active_backend(),
-    "stiffness_sum": float(ops.stiffness.sum()),
-    "mass_sum": float(ops.mass.sum()),
-    "curv_sum": float(ops.curvature_mass.sum()),
-    "bmass_sum": float(ops.boundary_mass.sum()),
-    "quad": float(u @ (ops.stiffness @ u)),
-}))
-"""
-
-
-def _probe(backend: str) -> dict:
-    env = dict(os.environ, CYW_BACKEND=backend)
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env,
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def test_backend_env_selection():
-    res = _probe("numpy")
-    assert res["backend"] == "numpy"
-
-
-def test_bad_backend_rejected():
-    env = dict(os.environ, CYW_BACKEND="fortran")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from cywbench._kernels import active_backend; active_backend()"],
-        env=env, capture_output=True, text=True)
-    assert out.returncode != 0
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_cross_backend_agreement():
-    a = _probe("numpy")
-    b = _probe("numba")
-    assert b["backend"] == "numba"
-    for key in ("stiffness_sum", "mass_sum", "curv_sum", "bmass_sum", "quad"):
-        assert abs(a[key] - b[key]) <= 1e-12 * max(1.0, abs(a[key])), key
 
 
 def test_kernel_shapes_and_symmetry():

@@ -109,6 +109,8 @@ def test_solve_perturbed_positive_and_residual(gate_setup):
     v = u.values
     assert v[dom.interior_set].min() > 0
     assert np.all(v[dom.frontier_set] == 0.0)
+    assert u.metadata["bordered_status"] == "converged"
+    assert u.metadata["newton_status"] == "converged"
     # residual of the discrete optimality system
     free = dom.interior_set
     r = (CST.a * (ops.stiffness @ v) + (ops.curvature_mass @ v)
@@ -143,3 +145,20 @@ def test_trace_report_format(gate_setup):
     assert text.splitlines()[0].startswith("CYW")
     assert trace.converged
     assert all(b < 0 for b in trace.betas)
+
+
+def test_polish_failure_names_newton_status(gate_setup, monkeypatch):
+    mesh, geom, dom, ops, gate = gate_setup
+    init = local_yamabe.test_function(
+        mesh, dom, geom,
+        TestFunctionParams(gate.metadata["eps_star"], -0.1,
+                           gate.metadata["center"], gate.metadata["radius"]),
+    )
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(local_yamabe, "splu", singular)
+    with pytest.raises(RuntimeError, match=r"Newton polish singular after 0 steps"):
+        local_yamabe.solve_perturbed(mesh, dom, geom, CST, 1.0, -0.1, init,
+                                     ops=ops, require_gate=False, newton_only=True)

@@ -287,3 +287,77 @@ def test_dirichlet_assembly_matches_whole_mesh_on_interior_rows(preset_id, monke
         assert _interior_rows_equal(got, want, interior), name
     if mesh.boundary_faces.size:
         assert abs(whole.boundary_mass_plain[interior]).sum() > 0
+
+
+# ---------------------------------------------------------------------------
+# damped Newton on the diagonal problem F(x) = x^2 - c
+# ---------------------------------------------------------------------------
+
+_C = np.array([1.0, 4.0, 9.0])
+
+
+def _square_residual(x):
+    r = x * x - _C
+    return r, float(np.linalg.norm(r))
+
+
+def _square_step(x, r):
+    return -r / (2.0 * x)
+
+
+def _below(tol):
+    return lambda x, r, norm: norm <= tol
+
+
+def test_damped_newton_converges_on_diagonal_problem():
+    res = operators.damped_newton(np.full(3, 5.0), _square_residual, _square_step,
+                                  _below(1e-12))
+    assert res.status == "converged"
+    assert 0 < len(res.steps) <= 8
+    assert np.allclose(res.x, np.sqrt(_C), rtol=0, atol=1e-12)
+    norms = [s[0] for s in res.steps]
+    assert norms == sorted(norms, reverse=True) and norms[-1] == res.norm
+    assert np.array_equal(res.residual, res.x * res.x - _C)
+    assert all(theta == 1.0 and clamped == 0 for _, theta, clamped in res.steps)
+
+
+def test_damped_newton_max_iter():
+    res = operators.damped_newton(np.full(3, 5.0), _square_residual, _square_step,
+                                  _below(1e-12), max_iter=1)
+    assert res.status == "max-iter" and len(res.steps) == 1
+
+
+def test_damped_newton_singular_solve():
+    def singular(x, r):
+        raise RuntimeError("Factor is exactly singular")
+
+    x0 = np.full(3, 5.0)
+    res = operators.damped_newton(x0, _square_residual, singular, _below(1e-12))
+    assert res.status == "singular" and res.steps == []
+    assert np.array_equal(res.x, x0)
+
+
+def test_damped_newton_stalls_without_descent():
+    # an ascent direction: no halving lowers |x^2 - c|
+    res = operators.damped_newton(np.full(3, 5.0), _square_residual,
+                                  lambda x, r: r / (2.0 * x), _below(1e-12))
+    assert res.status == "stalled" and res.steps == []
+
+
+def test_damped_newton_counts_clamped_entries():
+    # F(x) = x - b with b_1 < 0: the first full step leaves the cone x >= 0
+    b = np.array([1.0, -1.0])
+
+    def residual(x):
+        return x - b, float(np.linalg.norm(x - b))
+
+    def clamp(x):
+        neg = int((x < 0).sum())
+        return np.maximum(x, 0.0), neg
+
+    res = operators.damped_newton(np.full(2, 2.0), residual, lambda x, r: -r,
+                                  _below(1e-12), project=clamp)
+    assert res.steps[0][2] == 1
+    assert np.array_equal(res.x, [1.0, 0.0])
+    assert res.status == "stalled"  # the clamped root is the best point in the cone
+
