@@ -280,8 +280,11 @@ class RunConfig:
         return self
 
 
-def _default_output_dir() -> str:
-    return os.environ.get("CYWBENCH_OUTPUT_DIR", ".")
+def _output_dir(path=None) -> Path:
+    """``path``, else $CYWBENCH_OUTPUT_DIR, else ".", created if missing."""
+    outdir = Path(path or os.environ.get("CYWBENCH_OUTPUT_DIR", "."))
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
 
 
 def _float(section: dict, key: str, default=None) -> float:
@@ -490,8 +493,7 @@ def _exit_for_stage(stage: str) -> int:
 def run(config: RunConfig) -> int:
     """Run the full pipeline for one config; write report and plot data."""
     config = config.validated()
-    outdir = Path(config.output_dir or _default_output_dir())
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(config.output_dir)
 
     try:
         mesh, geom = _geometry.build_preset(config.preset, config.refinement)
@@ -532,8 +534,7 @@ def run(config: RunConfig) -> int:
 
 def bench(config_paths, outdir=None) -> int:
     """Run a config matrix; emit per-stage wall-clock rows, never abort."""
-    outdir = Path(outdir or _default_output_dir())
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(outdir)
     rows = []
     for path in sorted(str(p) for p in config_paths):
         label = Path(path).stem
@@ -581,8 +582,7 @@ def _load_config(args) -> RunConfig:
 def _cmd_mesh_gen(args) -> int:
     cfg = _load_config(args)
     mesh, _ = _geometry.build_preset(cfg.preset, cfg.refinement)
-    outdir = Path(cfg.output_dir or _default_output_dir())
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg.output_dir)
     path = outdir / f"{cfg.preset}-r{cfg.refinement}.mesh"
     _geometry.write_mesh(mesh, path)
     print(f"{path} ({mesh.num_vertices} vertices, {mesh.tets.shape[0]} tets)")
@@ -595,8 +595,7 @@ def _cmd_eigen(args) -> int:
     ops = _operators.assemble(mesh, geom, DimensionConstants(3),
                               bc_mode=cfg.bc_mode)
     eig = _operators.first_eigenpair(ops, mass=args.mass, operator=args.operator)
-    outdir = Path(cfg.output_dir or _default_output_dir())
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg.output_dir)
     _write_csv(outdir / "eigen.csv",
                ["eigenvalue", "residual", "sign_change_free"],
                [[repr(eig.eigenvalue), repr(eig.residual), eig.sign_change_free]])
@@ -617,8 +616,7 @@ def _cmd_gate(args) -> int:
     thresholds = _local.energy_gate(
         mesh, domain, geom, DimensionConstants(3), lam, args.beta
     )
-    outdir = Path(cfg.output_dir or _default_output_dir())
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg.output_dir)
     _emit_gate_csv(outdir, thresholds)
     print(
         f"Q_eps {thresholds.Q_eps!r} T_used {thresholds.metadata['T_used']!r} "
@@ -637,8 +635,7 @@ def _cmd_solve_local(args) -> int:
     except (RuntimeError, ValueError) as err:
         print(f"continuation failure: {err}", file=sys.stderr)
         return EXIT_ITERATION
-    outdir = Path(cfg.output_dir or _default_output_dir())
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg.output_dir)
     rows = [
         [k, repr(beta), repr(float(sol.values.min())),
          repr(float(sol.values.max())), repr(lp)]
@@ -666,8 +663,7 @@ def _cmd_check_condition_a(args) -> int:
     verdict = _sphere.check_condition_a(
         mesh.vertices, lambda p: float(Q_vec(p[None, :])[0])
     )
-    outdir = Path(cfg.output_dir or _default_output_dir())
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg.output_dir)
     _emit_witness_csv(outdir, verdict)
     print(f"verdict {verdict.verdict} witnesses {len(verdict.witnesses)}")
     return EXIT_OK if verdict.verdict != "fail" else EXIT_OBSTRUCTION
@@ -686,8 +682,7 @@ def _cmd_check_obstructions(args) -> int:
     ops = _operators.assemble(mesh, geom, DimensionConstants(3),
                               bc_mode=cfg.bc_mode)
     obs = _sphere.obstruction_report(S, u, geom.scalar_curvature, ops)
-    outdir = Path(cfg.output_dir or _default_output_dir())
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg.output_dir)
     rows = [["kw", k, repr(v)] for k, v in sorted(obs.kw_values.items())]
     rows += [["be", k, repr(v)] for k, v in sorted(obs.be_values.items())]
     _write_csv(outdir / "obstructions.csv", ["kind", "direction", "value"], rows)

@@ -125,6 +125,7 @@ class Mesh:
     _edges: Optional[np.ndarray] = field(default=None, repr=False)
     _vertex_graph: Optional[csr_matrix] = field(default=None, repr=False)
     _boundary_flags: Optional[np.ndarray] = field(default=None, repr=False)
+    _mollify_weights: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
@@ -805,6 +806,9 @@ def make_punctured_domain(
 
 def _mollify_weights(mesh: Mesh, width: float):
     """Sparse stencil weights: Wendland-type kernel over graph neighborhoods."""
+    cached = mesh._mollify_weights.get(width)
+    if cached is not None:
+        return cached
     graph = mesh.vertex_graph()
     n = mesh.num_vertices
     rows_all, cols_all, vals_all = [], [], []
@@ -825,6 +829,7 @@ def _mollify_weights(mesh: Mesh, width: float):
     # self weight: distance 0 gives kernel 1 (present via the zero diagonal of
     # dijkstra output)
     norm = np.asarray(W.sum(axis=1)).ravel()
+    mesh._mollify_weights[width] = (W, norm)
     return W, norm
 
 

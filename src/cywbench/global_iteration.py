@@ -714,22 +714,9 @@ def _pick_region_domain(mesh, geom, S):
 def _condition_a_on_field(mesh, S):
     """CONDITION A for a vertex field, via its callable when available."""
     func = S.metadata.get("ambient_func")
-    if func is None:
-        tree_vals = S.values
-
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(mesh.vertices)
-
-        def func(z):
-            _, i = tree.query(z)
-            return float(tree_vals[i])
-
-        note = "nearest-vertex sampler (value relations only)"
-    else:
-        note = "caller-supplied ambient function"
-    verdict = _sphere.check_condition_a(mesh.vertices, func)
-    verdict.metadata["sampler"] = note
+    verdict = _sphere.check_condition_a(mesh.vertices, S.values if func is None else func)
+    verdict.metadata["sampler"] = ("nearest-vertex sampler (value relations only)"
+                                   if func is None else "caller-supplied ambient function")
     return verdict
 
 
@@ -980,11 +967,8 @@ def report_to_text(report: SolveReport, timestamp: bool = True) -> str:
         lines.append(f"sign_change_free {report.eig.sign_change_free}")
     if report.glue is not None:
         lines.append("[glue]")
-        g = report.glue
-        lines.append(f"gamma {g.gamma!r}")
-        lines.append(f"theta {g.theta!r}")
-        lines.append(f"mollifier_width {g.mollifier_width!r}")
-        lines.append(f"beta_margin {g.beta_margin!r}")
+        for k in ("gamma", "theta", "mollifier_width", "beta_margin"):
+            lines.append(f"{k} {getattr(report.glue, k)!r}")
     if report.iteration is not None:
         it = report.iteration
         lines.append("[iteration]")

@@ -683,12 +683,20 @@ def solve_flat_punctured(
     return ScalarField(u, mesh.mesh_id, info)
 
 
+def _meta_text(value) -> str:
+    """One-line text of a trace metadata value; a field is summarized."""
+    if isinstance(value, ScalarField):
+        v = value.values
+        return (f"ScalarField(n={v.size}, min={float(v.min())!r}, "
+                f"max={float(v.max())!r}, metadata={sorted(value.metadata)!r})")
+    return repr(value)
+
+
 def trace_to_report(trace: ContinuationTrace) -> str:
-    """Serialize a continuation trace as versioned structured text."""
-    lines = ["CYWTRACE 1"]
-    lines.append(f"converged {trace.converged}")
+    """Serialize a continuation trace as versioned text, one entry per line."""
+    lines = ["CYWTRACE 1", f"converged {trace.converged}"]
     for key in sorted(trace.metadata):
-        lines.append(f"meta {key} {trace.metadata[key]!r}")
+        lines.append(f"meta {key} {_meta_text(trace.metadata[key])}")
     lines.append("columns beta lp_norm_p c2a_proxy relative_residual")
     for b, lp, cx, sol in zip(
         trace.betas, trace.lp_norms, trace.c2a_proxy, trace.solutions

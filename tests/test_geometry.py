@@ -193,6 +193,24 @@ def test_mollify_preserves_constants_and_bounds(width, const):
     assert sm.values.max() <= f.values.max() + 1e-12
 
 
+def test_mollify_weights_cached_per_width(monkeypatch):
+    mesh, _ = geometry.build_preset("flat-t3", 1)
+    f = ScalarField(np.random.default_rng(3).uniform(-1, 1, mesh.num_vertices),
+                    mesh.mesh_id)
+    fresh = geometry.mollify(f, geometry.build_preset("flat-t3", 1)[0], 0.4).values
+    sweeps = []
+    dijkstra = geometry.dijkstra
+    monkeypatch.setattr(geometry, "dijkstra",
+                        lambda *a, **k: sweeps.append(1) or dijkstra(*a, **k))
+    first = geometry.mollify(f, mesh, 0.4).values
+    swept = len(sweeps)
+    second = geometry.mollify(f, mesh, 0.4).values
+    assert len(sweeps) == swept > 0
+    assert np.array_equal(first, fresh) and np.array_equal(second, fresh)
+    geometry.mollify(f, mesh, 0.5)
+    assert len(sweeps) > swept
+
+
 # ---------------------------------------------------------------------------
 # mesh file format
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,22 @@ def test_trace_report_format(gate_setup):
     assert text.splitlines()[0].startswith("CYW")
     assert trace.converged
     assert all(b < 0 for b in trace.betas)
+    # one entry per line: the beta = 0 field is summarized, not dumped
+    lines = text.splitlines()[1:]
+    assert lines[0] == "converged True"
+    meta = [ln for ln in lines if ln.startswith("meta ")]
+    assert sorted(ln.split()[1] for ln in meta) == sorted(trace.metadata)
+    zero = trace.metadata["beta_zero_solution"].values
+    assert (f"meta beta_zero_solution ScalarField(n={zero.size}, "
+            f"min={float(zero.min())!r}, max={float(zero.max())!r}, ") in text
+    number = r"[-+]?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?|nan|inf"
+    row = rf"({number})( ({number})){{3}}"
+    for ln in lines:
+        assert (ln.startswith("converged ")
+                or re.fullmatch(r"meta \S+ \S.*", ln)
+                or ln == "columns beta lp_norm_p c2a_proxy relative_residual"
+                or re.fullmatch(row, ln)), ln
+    assert sum(bool(re.fullmatch(row, ln)) for ln in lines) == len(trace.betas)
 
 
 def test_polish_failure_names_newton_status(gate_setup, monkeypatch):
