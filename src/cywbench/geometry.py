@@ -13,6 +13,11 @@ Conventions
 * Scalar curvature and boundary mean curvature are analytic preset data
   carried as vertex fields; they are coefficients of the operators, never
   recovered from the discrete metric.
+* Vertex and tet order is part of a preset: it fixes the order of every
+  assembled sum, so the bits of every downstream solve.  Grid presets number
+  point (i, j, k) as (i*npts + j)*npts + k with six Kuhn tets per cube in
+  (i, j, k) order; a round-s3 refinement appends edge midpoints in order of
+  first appearance and puts each tet's eight children in its place.
 """
 
 from __future__ import annotations
@@ -20,11 +25,11 @@ from __future__ import annotations
 import ast
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 __all__ = [
     "Mesh",
@@ -88,6 +93,19 @@ BARY_GRAD = np.array(
 PRESET_IDS = ("round-s3", "flat-t3", "ball-negR", "annulus", "bump-t3")
 
 _VERTEX_BUDGET = 10**6
+
+#: Tet corner pairs of the six edges and corner triples of the four faces.
+_TET_EDGES = [0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3]
+_TET_FACES = [0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3]
+
+
+def _face_keys(faces: np.ndarray, n: int) -> np.ndarray:
+    """Integer key (a*n + b)*n + c of each face's sorted vertices a < b < c.
+
+    Exact in int64 for n < 2**21, which the vertex budget guarantees.
+    """
+    a, b, c = np.sort(faces, axis=1).T
+    return (a * n + b) * n + c
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +185,10 @@ class Mesh:
     def edges(self) -> np.ndarray:
         """Unique undirected edges as an (ne, 2) array with e[0] < e[1]."""
         if self._edges is None:
-            pairs = self.tets[:, [0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3]].reshape(-1, 2)
-            pairs = np.sort(pairs, axis=1)
-            self._edges = np.unique(pairs, axis=0)
+            n = self.num_vertices
+            a, b = np.sort(self.tets[:, _TET_EDGES].reshape(-1, 2), axis=1).T
+            keys = np.unique(a * n + b)
+            self._edges = np.stack([keys // n, keys % n], axis=1)
         return self._edges
 
     def displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,13 +246,14 @@ class Mesh:
         if self.tets.min(initial=0) < 0 or self.tets.max(initial=-1) >= nv:
             raise ValueError("tetrahedron index out of range")
         # each boundary face belongs to exactly one tetrahedron
-        faces = self.tets[:, [0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3]].reshape(-1, 3)
-        faces_sorted = np.sort(faces, axis=1)
-        uniq, counts = np.unique(faces_sorted, axis=0, return_counts=True)
-        once = {tuple(f) for f, c in zip(uniq, counts) if c == 1}
-        for bf in self.boundary_faces:
-            if tuple(sorted(bf.tolist())) not in once:
-                raise ValueError(f"boundary face {bf} not a once-counted tet face")
+        uniq, counts = np.unique(
+            _face_keys(self.tets[:, _TET_FACES].reshape(-1, 3), nv), return_counts=True
+        )
+        once = uniq[counts == 1]
+        stray = ~np.isin(_face_keys(self.boundary_faces, nv), once)
+        if stray.any():
+            bf = self.boundary_faces[np.argmax(stray)]
+            raise ValueError(f"boundary face {bf} not a once-counted tet face")
         if len(once) != self.boundary_faces.shape[0]:
             raise ValueError(
                 f"boundary face count {self.boundary_faces.shape[0]} != "
@@ -324,16 +344,23 @@ class Domain:
 # ---------------------------------------------------------------------------
 
 
-def _kuhn_cube_tets(i000, i100, i010, i110, i001, i101, i011, i111):
-    """Six Kuhn tetrahedra of a cube given its eight corner indices."""
-    return [
-        (i000, i100, i110, i111),
-        (i000, i110, i010, i111),
-        (i000, i010, i011, i111),
-        (i000, i011, i001, i111),
-        (i000, i001, i101, i111),
-        (i000, i101, i100, i111),
-    ]
+#: The six Kuhn tetrahedra of a unit cube, as corners di + 2*dj + 4*dk.
+_KUHN_TETS = np.array(
+    [[0, 1, 3, 7], [0, 3, 2, 7], [0, 2, 6, 7], [0, 6, 4, 7], [0, 4, 5, 7], [0, 5, 1, 7]]
+)
+
+
+def _kuhn_grid(m: int, npts: int) -> np.ndarray:
+    """Kuhn tetrahedra of an m^3 cube grid: six per cube, cubes in (i, j, k) order.
+
+    Grid point (i, j, k) has index (i*npts + j)*npts + k with each coordinate
+    taken modulo ``npts``: ``npts == m`` wraps to the torus, ``npts == m + 1``
+    gives the (m+1)^3 point grid of a solid cube.
+    """
+    offsets = (_KUHN_TETS[..., None] >> np.arange(3)) & 1  # (6, 4, 3)
+    cubes = np.stack(np.meshgrid(*[np.arange(m)] * 3, indexing="ij"), axis=-1)
+    c = (cubes.reshape(-1, 1, 1, 3) + offsets) % npts
+    return ((c[..., 0] * npts + c[..., 1]) * npts + c[..., 2]).reshape(-1, 4)
 
 
 def _fix_orientation(mesh_vertices: np.ndarray, tets: np.ndarray, period=None):
@@ -348,27 +375,9 @@ def _fix_orientation(mesh_vertices: np.ndarray, tets: np.ndarray, period=None):
 
 def _build_torus_mesh(m: int, mesh_id: str) -> Mesh:
     """Unit torus [0,1)^3 with m subdivisions per axis, Kuhn tetrahedra."""
-    idx = lambda i, j, k: ((i % m) * m + (j % m)) * m + (k % m)
-    coords = np.array(
-        [[i / m, j / m, k / m] for i in range(m) for j in range(m) for k in range(m)]
-    )
-    tets = []
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                c = [
-                    idx(i, j, k),
-                    idx(i + 1, j, k),
-                    idx(i, j + 1, k),
-                    idx(i + 1, j + 1, k),
-                    idx(i, j, k + 1),
-                    idx(i + 1, j, k + 1),
-                    idx(i, j + 1, k + 1),
-                    idx(i + 1, j + 1, k + 1),
-                ]
-                tets.extend(_kuhn_cube_tets(*c))
-    tets = np.array(tets, dtype=np.int64)
-    tets = _fix_orientation(coords, tets, period=1.0)
+    t = np.arange(m) / m
+    coords = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
+    tets = _fix_orientation(coords, _kuhn_grid(m, m), period=1.0)
     return Mesh(
         coords,
         tets,
@@ -381,16 +390,12 @@ def _build_torus_mesh(m: int, mesh_id: str) -> Mesh:
 
 def _extract_boundary(vertices: np.ndarray, tets: np.ndarray):
     """Boundary faces (once-counted tet faces) with outward orientation signs."""
-    local = [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 3, 1), (1, 2, 3, 0)]
-    faces = []
-    opp = []
-    for a, b, c, d in local:
-        faces.append(tets[:, [a, b, c]])
-        opp.append(tets[:, d])
-    faces = np.concatenate(faces, axis=0)
-    opp = np.concatenate(opp, axis=0)
-    key = np.sort(faces, axis=1)
-    _, inv, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+    # face f of every tet, then face f + 1; corner 3 - f is opposite face f
+    faces = tets[:, _TET_FACES].reshape(-1, 4, 3).transpose(1, 0, 2).reshape(-1, 3)
+    opp = tets[:, ::-1].T.ravel()
+    _, inv, counts = np.unique(
+        _face_keys(faces, len(vertices)), return_inverse=True, return_counts=True
+    )
     on_bnd = counts[inv] == 1
     bfaces = faces[on_bnd]
     bopp = opp[on_bnd]
@@ -401,10 +406,8 @@ def _extract_boundary(vertices: np.ndarray, tets: np.ndarray):
     e2 = vertices[bfaces[:, 2]] - v0
     nrm = np.cross(e1, e2)
     inward = vertices[bopp] - v0
-    sign = np.where(np.einsum("ij,ij->i", nrm, inward) < 0, 1, -1).astype(np.int64)
     # store faces reordered so the orientation flag is +1
-    flip = sign < 0
-    bfaces = bfaces.copy()
+    flip = ~(np.einsum("ij,ij->i", nrm, inward) < 0)
     bfaces[flip] = bfaces[flip][:, [0, 2, 1]]
     return bfaces, np.ones(len(bfaces), dtype=np.int64)
 
@@ -412,26 +415,8 @@ def _extract_boundary(vertices: np.ndarray, tets: np.ndarray):
 def _build_ball_mesh(m: int, mesh_id: str) -> Mesh:
     """Unit Euclidean ball: cube grid on [-1,1]^3 mapped radially to the ball."""
     lin = np.linspace(-1.0, 1.0, m + 1)
-    X, Y, Z = np.meshgrid(lin, lin, lin, indexing="ij")
-    coords = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-    npts = m + 1
-    idx = lambda i, j, k: (i * npts + j) * npts + k
-    tets = []
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                c = [
-                    idx(i, j, k),
-                    idx(i + 1, j, k),
-                    idx(i, j + 1, k),
-                    idx(i + 1, j + 1, k),
-                    idx(i, j, k + 1),
-                    idx(i + 1, j, k + 1),
-                    idx(i, j + 1, k + 1),
-                    idx(i + 1, j + 1, k + 1),
-                ]
-                tets.extend(_kuhn_cube_tets(*c))
-    tets = np.array(tets, dtype=np.int64)
+    coords = np.stack(np.meshgrid(lin, lin, lin, indexing="ij"), axis=-1).reshape(-1, 3)
+    tets = _kuhn_grid(m, m + 1)
     # map cube onto ball: x -> x * ||x||_inf / ||x||_2
     norm_inf = np.abs(coords).max(axis=1)
     norm_2 = np.linalg.norm(coords, axis=1)
@@ -442,64 +427,33 @@ def _build_ball_mesh(m: int, mesh_id: str) -> Mesh:
     return Mesh(coords, tets, bfaces, bsign, mesh_id, {})
 
 
+#: Eight children of a tet over the columns of ``corners`` in the refinement:
+#: four corner tets, then the octahedron split along the m02-m13 diagonal.
+_REFINED_TETS = np.array([[0, 4, 5, 6], [1, 4, 7, 8], [2, 5, 7, 9], [3, 6, 8, 9],
+                          [4, 5, 8, 6], [4, 5, 7, 8], [5, 6, 8, 9], [5, 7, 8, 9]])
+
+
 def _build_round_s3_mesh(refinement: int, mesh_id: str) -> Mesh:
     """Refined 16-cell projected onto the unit 3-sphere in R^4."""
-    verts = []
-    for axis in range(4):
-        for s in (1.0, -1.0):
-            v = np.zeros(4)
-            v[axis] = s
-            verts.append(v)
-    verts = np.array(verts)
-    # index of +e_a is 2a, -e_a is 2a+1
-    tets = []
-    for sa in (0, 1):
-        for sb in (0, 1):
-            for sc in (0, 1):
-                for sd in (0, 1):
-                    tets.append((0 + sa, 2 + sb, 4 + sc, 6 + sd))
-    tets = np.array(tets, dtype=np.int64)
+    # index of +e_a is 2a, -e_a is 2a+1; one tet per choice of signs
+    verts = np.zeros((8, 4))
+    verts[np.arange(8), np.arange(8) // 2] = np.tile([1.0, -1.0], 4)
+    tets = np.indices((2, 2, 2, 2)).reshape(4, -1).T + [0, 2, 4, 6]
 
     for _ in range(refinement):
-        edge_mid = {}
-        new_verts = [verts]
-        next_id = len(verts)
-
-        def midpoint(i, j):
-            nonlocal next_id
-            key = (min(i, j), max(i, j))
-            if key not in edge_mid:
-                m = (verts[key[0]] + verts[key[1]]) / 2.0
-                m = m / np.linalg.norm(m)
-                new_verts.append(m[None, :])
-                edge_mid[key] = next_id
-                next_id += 1
-            return edge_mid[key]
-
-        new_tets = []
-        for t in tets:
-            v0, v1, v2, v3 = (int(v) for v in t)
-            m01 = midpoint(v0, v1)
-            m02 = midpoint(v0, v2)
-            m03 = midpoint(v0, v3)
-            m12 = midpoint(v1, v2)
-            m13 = midpoint(v1, v3)
-            m23 = midpoint(v2, v3)
-            new_tets.extend(
-                [
-                    (v0, m01, m02, m03),
-                    (v1, m01, m12, m13),
-                    (v2, m02, m12, m23),
-                    (v3, m03, m13, m23),
-                    # octahedron split along the m02-m13 diagonal
-                    (m01, m02, m13, m03),
-                    (m01, m02, m12, m13),
-                    (m02, m03, m13, m23),
-                    (m02, m12, m13, m23),
-                ]
-            )
-        verts = np.concatenate(new_verts, axis=0)
-        tets = np.array(new_tets, dtype=np.int64)
+        # midpoints of the six edges of every tet, numbered by first appearance
+        n = len(verts)
+        a, b = np.sort(tets[:, _TET_EDGES].reshape(-1, 2), axis=1).T
+        _, first, inv = np.unique(a * n + b, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        ends = first[order]
+        mid = (verts[a[ends]] + verts[b[ends]]) / 2.0
+        mid = mid / np.sqrt(np.vecdot(mid, mid))[:, None]
+        verts = np.concatenate([verts, mid], axis=0)
+        # corners v0..v3 and midpoints m01 m02 m03 m12 m13 m23 as columns 0..9
+        mids = n + np.argsort(order)[inv].reshape(-1, 6)
+        corners = np.concatenate([tets, mids], axis=1)
+        tets = corners[:, _REFINED_TETS].reshape(-1, 4)
 
     tets = _fix_orientation(verts, tets)
     return Mesh(
@@ -518,11 +472,14 @@ def _build_round_s3_mesh(refinement: int, mesh_id: str) -> Mesh:
 
 
 def _flat_geometry_arrays(mesh: Mesh):
-    """Pullback metric E^T E per tet (constant in q) and boundary densities."""
+    """Pullback metric E^T E per tet and boundary densities.
+
+    The metric is constant in q: a read-only view repeating each tet's matrix.
+    """
     E = tet_edge_matrices(mesh)  # (nt, 3, 3)
     G = np.einsum("tki,tkj->tij", E, E)
     nq = TET_QP.shape[0]
-    metric = np.broadcast_to(G[:, None, :, :], (len(G), nq, 3, 3)).copy()
+    metric = np.broadcast_to(G[:, None, :, :], (len(G), nq, 3, 3))
     density = np.sqrt(np.linalg.det(metric))
     bdens = None
     if mesh.boundary_faces.size:
@@ -739,34 +696,19 @@ def extract_subdomain(mesh: Mesh, predicate: Callable[[np.ndarray], np.ndarray])
     if sel.all() and mesh.is_closed:
         raise ValueError("selection is not a proper subset of a closed mesh")
 
-    vertex_set = np.flatnonzero(sel)
-    # connectivity by BFS on the edge graph restricted to the selection
+    # connectivity of the edge graph restricted to the selection
     graph = mesh.vertex_graph()
-    indptr, indices = graph.indptr, graph.indices
-    visited = np.zeros(mesh.num_vertices, dtype=bool)
-    stack = [int(vertex_set[0])]
-    visited[vertex_set[0]] = True
-    while stack:
-        v = stack.pop()
-        for w in indices[indptr[v] : indptr[v + 1]]:
-            if sel[w] and not visited[w]:
-                visited[w] = True
-                stack.append(int(w))
-    if not visited[vertex_set].all():
+    if connected_components(graph[sel][:, sel], directed=False)[0] > 1:
         raise ValueError("selection is disconnected")
 
-    # frontier: adjacent to the complement, or on the mesh boundary
-    frontier_mask = np.zeros(mesh.num_vertices, dtype=bool)
-    for v in vertex_set:
-        nbrs = indices[indptr[v] : indptr[v + 1]]
-        if (~sel[nbrs]).any():
-            frontier_mask[v] = True
-    frontier_mask |= sel & mesh.vertex_flags
+    # frontier: adjacent to the complement (edge lengths are positive), or on
+    # the mesh boundary
+    frontier_mask = sel & ((graph @ ~sel > 0) | mesh.vertex_flags)
     interior = np.flatnonzero(sel & ~frontier_mask)
-    frontier = np.flatnonzero(frontier_mask)
     if interior.size == 0:
         raise ValueError("selection has empty interior")
-    return Domain(vertex_set, interior, frontier, mesh.mesh_id)
+    frontier = np.flatnonzero(frontier_mask)
+    return Domain(np.flatnonzero(sel), interior, frontier, mesh.mesh_id)
 
 
 def make_punctured_domain(
@@ -881,7 +823,6 @@ def construct_admissible_function(
     far = ~sel & (dist_to_region >= width)
 
     raw = base.copy()
-    raw.values = raw.values.copy()
     raw.values[sel] = level
     out = mollify(raw, mesh, width)
     out.values[core] = level
@@ -950,7 +891,11 @@ def write_mesh(mesh: Mesh, path=None) -> str:
 
 
 def read_mesh(source) -> Mesh:
-    """Parse the CYWMESH 1 text format from a string or file path."""
+    """Parse the CYWMESH 1 text format from a string or file path.
+
+    The parsed mesh is checked with :meth:`Mesh.validate`; a ValueError is
+    raised for a malformed mesh or more vertices than the vertex budget.
+    """
     if "\n" not in str(source):
         with open(source) as fh:
             text = fh.read()
@@ -992,7 +937,9 @@ def read_mesh(source) -> Mesh:
                 metadata[k] = v
         else:
             raise ValueError(f"line outside any section: {line!r}")
-    return Mesh(
+    if len(verts) > _VERTEX_BUDGET:
+        raise ValueError(f"{len(verts)} vertices exceed the vertex budget")
+    mesh = Mesh(
         np.array(verts, dtype=np.float64),
         np.array(tets, dtype=np.int64).reshape(-1, 4),
         np.array(bfaces, dtype=np.int64).reshape(-1, 3),
@@ -1000,3 +947,5 @@ def read_mesh(source) -> Mesh:
         mesh_id,
         metadata,
     )
+    mesh.validate()
+    return mesh

@@ -735,7 +735,6 @@ def prescribe(
     config = config or GluingConfig()
     cst = DimensionConstants(3)
     route = geom.metadata.get("routing", "not-lcf-in-O")
-    ops = _operators.assemble(mesh, geom, cst, bc_mode=bc_mode)
     Sv = S.values
     constant_S = float(Sv.max() - Sv.min()) <= 1e-12 * max(1.0, abs(float(Sv.max())))
 
@@ -761,6 +760,7 @@ def prescribe(
             )
         obstructions = verdict
 
+    ops = _operators.assemble(mesh, geom, cst, bc_mode=bc_mode)
     if constant_S and float(
         np.abs(geom.scalar_curvature.values
                - geom.scalar_curvature.values[0]).max()

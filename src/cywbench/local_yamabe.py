@@ -56,7 +56,6 @@ class TestFunctionParams:
     beta: float
     center: int
     radius: float
-    cutoff_kind: str = "cosine"
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -65,8 +64,6 @@ class TestFunctionParams:
             raise ValueError("beta must be <= 0")
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
-        if self.cutoff_kind not in ("cosine", "radial-bump"):
-            raise ValueError("cutoff_kind must be 'cosine' or 'radial-bump'")
 
 
 @dataclass
@@ -163,7 +160,6 @@ def test_function(
             "epsilon": params.epsilon,
             "center": params.center,
             "radius": params.radius,
-            "cutoff_kind": params.cutoff_kind,
         },
     )
 

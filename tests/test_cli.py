@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,8 +174,11 @@ def test_bench_empty_and_matrix(tmp_path):
 
 
 def test_console_entry_point():
+    # the subprocess imports the same cywbench package as this test
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
     out = subprocess.run([sys.executable, "-m", "cywbench.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "prescribe" in out.stdout
 

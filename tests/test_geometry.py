@@ -251,3 +251,199 @@ def test_read_mesh_flags_are_literals_only(tmp_path):
     assert back.metadata["scale"] == 0.25
     assert back.metadata["shape"] == (1, 2.5, "a")
     assert back.metadata["period"] == mesh.metadata["period"]
+
+
+def _corrupt(text, section, index, replace):
+    """Mesh text with line ``index`` of ``section`` replaced (None drops it)."""
+    lines = text.splitlines(keepends=True)
+    at = lines.index(section + "\n") + 1 + index
+    lines[at:at + 1] = [] if replace is None else [replace(lines[at])]
+    return "".join(lines)
+
+
+def test_read_mesh_validates(monkeypatch):
+    mesh, _ = preset("ball-negR", 1)
+    text = geometry.write_mesh(mesh)
+    bad_tet = _corrupt(text, "TETS", 3,
+                       lambda line: f"{mesh.num_vertices} " + line.split(" ", 1)[1])
+    with pytest.raises(ValueError, match="tetrahedron index out of range"):
+        geometry.read_mesh(bad_tet)
+    with pytest.raises(ValueError, match="boundary face count"):
+        geometry.read_mesh(_corrupt(text, "BFACES", 5, None))
+    monkeypatch.setattr(geometry, "_VERTEX_BUDGET", mesh.num_vertices - 1)
+    with pytest.raises(ValueError, match="vertex budget"):
+        geometry.read_mesh(text)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the loop-based topology builders that the array code replaced;
+# vertex and tet order feed every downstream solve, so they must agree bitwise
+# ---------------------------------------------------------------------------
+
+
+def _loop_kuhn_tets(m, idx):
+    tets = []
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                i000, i100 = idx(i, j, k), idx(i + 1, j, k)
+                i010, i110 = idx(i, j + 1, k), idx(i + 1, j + 1, k)
+                i001, i101 = idx(i, j, k + 1), idx(i + 1, j, k + 1)
+                i011, i111 = idx(i, j + 1, k + 1), idx(i + 1, j + 1, k + 1)
+                tets += [(i000, i100, i110, i111), (i000, i110, i010, i111),
+                         (i000, i010, i011, i111), (i000, i011, i001, i111),
+                         (i000, i001, i101, i111), (i000, i101, i100, i111)]
+    return np.array(tets, dtype=np.int64)
+
+
+def _loop_boundary(vertices, tets):
+    local = [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 3, 1), (1, 2, 3, 0)]
+    faces = np.concatenate([tets[:, [a, b, c]] for a, b, c, _ in local])
+    opp = np.concatenate([tets[:, d] for *_, d in local])
+    _, inv, counts = np.unique(np.sort(faces, axis=1), axis=0,
+                               return_inverse=True, return_counts=True)
+    on_bnd = counts[inv] == 1
+    bfaces, bopp = faces[on_bnd], opp[on_bnd]
+    v0 = vertices[bfaces[:, 0]]
+    nrm = np.cross(vertices[bfaces[:, 1]] - v0, vertices[bfaces[:, 2]] - v0)
+    flip = np.einsum("ij,ij->i", nrm, vertices[bopp] - v0) >= 0
+    bfaces[flip] = bfaces[flip][:, [0, 2, 1]]
+    return bfaces
+
+
+def _loop_round_s3(refinement):
+    verts = []
+    for axis in range(4):
+        for s in (1.0, -1.0):
+            v = np.zeros(4)
+            v[axis] = s
+            verts.append(v)
+    verts = np.array(verts)
+    tets = np.array([(sa, 2 + sb, 4 + sc, 6 + sd) for sa in (0, 1) for sb in (0, 1)
+                     for sc in (0, 1) for sd in (0, 1)], dtype=np.int64)
+    for _ in range(refinement):
+        edge_mid, new_verts = {}, [verts]
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in edge_mid:
+                mid = (verts[key[0]] + verts[key[1]]) / 2.0
+                new_verts.append((mid / np.linalg.norm(mid))[None, :])
+                edge_mid[key] = len(verts) + len(edge_mid)
+            return edge_mid[key]
+
+        new_tets = []
+        for t in tets:
+            v0, v1, v2, v3 = (int(v) for v in t)
+            m01, m02, m03 = midpoint(v0, v1), midpoint(v0, v2), midpoint(v0, v3)
+            m12, m13, m23 = midpoint(v1, v2), midpoint(v1, v3), midpoint(v2, v3)
+            new_tets += [(v0, m01, m02, m03), (v1, m01, m12, m13),
+                         (v2, m02, m12, m23), (v3, m03, m13, m23),
+                         (m01, m02, m13, m03), (m01, m02, m12, m13),
+                         (m02, m03, m13, m23), (m02, m12, m13, m23)]
+        verts = np.concatenate(new_verts, axis=0)
+        tets = np.array(new_tets, dtype=np.int64)
+    return verts, geometry._fix_orientation(verts, tets), None
+
+
+def _loop_preset(pid, refinement):
+    """(vertices, tets, boundary faces or None) built by the loop oracles."""
+    if pid == "round-s3":
+        return _loop_round_s3(refinement)
+    m = 4 * 2**refinement
+    if pid in ("flat-t3", "bump-t3"):
+        coords = np.array([[i / m, j / m, k / m]
+                           for i in range(m) for j in range(m) for k in range(m)])
+        tets = _loop_kuhn_tets(m, lambda i, j, k: ((i % m) * m + (j % m)) * m + (k % m))
+        return coords, geometry._fix_orientation(coords, tets, period=1.0), None
+    lin = np.linspace(-1.0, 1.0, m + 1)
+    grid = np.meshgrid(lin, lin, lin, indexing="ij")
+    coords = np.stack([g.ravel() for g in grid], axis=1)
+    tets = _loop_kuhn_tets(m, lambda i, j, k: (i * (m + 1) + j) * (m + 1) + k)
+    norm_2 = np.linalg.norm(coords, axis=1)
+    norm_inf = np.abs(coords).max(axis=1)
+    scale = np.where(norm_2 > 0, norm_inf / np.maximum(norm_2, 1e-300), 0.0)
+    coords = coords * scale[:, None]
+    tets = geometry._fix_orientation(coords, tets)
+    if pid == "annulus":
+        tets = tets[np.linalg.norm(coords[tets].mean(axis=1), axis=1) > 0.5]
+        used = np.unique(tets)
+        remap = -np.ones(len(coords), dtype=np.int64)
+        remap[used] = np.arange(len(used))
+        coords, tets = coords[used], remap[tets]
+    return coords, tets, _loop_boundary(coords, tets)
+
+
+@pytest.mark.parametrize("pid,refinement", [(p, r) for p in geometry.PRESET_IDS
+                                            for r in (0, 1, 2)] + [("round-s3", 3)])
+def test_preset_topology_matches_loop_oracle(pid, refinement):
+    mesh, _ = preset(pid, refinement)
+    verts, tets, bfaces = _loop_preset(pid, refinement)
+    assert mesh.vertices.tobytes() == verts.tobytes()
+    assert mesh.tets.dtype == np.int64 and np.array_equal(mesh.tets, tets)
+    if bfaces is None:
+        assert mesh.boundary_faces.shape == (0, 3)
+    else:
+        assert np.array_equal(mesh.boundary_faces, bfaces)
+        assert np.all(mesh.boundary_orientation == 1)
+    pairs = tets[:, [0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3]].reshape(-1, 2)
+    pairs = np.sort(pairs, axis=1)
+    assert np.array_equal(mesh.edges(), np.unique(pairs, axis=0))
+    mesh.validate()
+
+
+def _bfs_subdomain(mesh, sel):
+    """Domain parts, or the ValueError text, by breadth-first search."""
+    vertex_set = np.flatnonzero(sel)
+    graph = mesh.vertex_graph()
+    indptr, indices = graph.indptr, graph.indices
+    visited = np.zeros(mesh.num_vertices, dtype=bool)
+    stack = [int(vertex_set[0])]
+    visited[vertex_set[0]] = True
+    while stack:
+        v = stack.pop()
+        for w in indices[indptr[v]:indptr[v + 1]]:
+            if sel[w] and not visited[w]:
+                visited[w] = True
+                stack.append(int(w))
+    if not visited[vertex_set].all():
+        return "selection is disconnected"
+    frontier = np.zeros(mesh.num_vertices, dtype=bool)
+    for v in vertex_set:
+        if (~sel[indices[indptr[v]:indptr[v + 1]]]).any():
+            frontier[v] = True
+    frontier |= sel & mesh.vertex_flags
+    interior = np.flatnonzero(sel & ~frontier)
+    if interior.size == 0:
+        return "selection has empty interior"
+    return vertex_set, interior, np.flatnonzero(frontier)
+
+
+@pytest.mark.parametrize("pid", ["ball-negR", "bump-t3"])
+def test_extract_subdomain_matches_bfs_oracle(pid):
+    mesh, _ = preset(pid, 1)
+    rng = np.random.default_rng(11)
+    x = mesh.vertices
+    # random unions of one or two balls, a slab and (on the ball) everything
+    selections = [x[:, 2] > 0.3, np.ones(mesh.num_vertices, bool)]
+    for trial in range(30):
+        centers = x[rng.integers(mesh.num_vertices, size=1 + trial % 2)]
+        radius = rng.uniform(0.1, 0.9) / (1 + trial % 2)
+        dist = np.linalg.norm(x[:, None, :] - centers[None], axis=2)
+        selections.append((dist < radius).any(axis=1))
+    outcomes = set()
+    for sel in selections:
+        if not sel.any() or (sel.all() and mesh.is_closed):
+            continue
+        expected = _bfs_subdomain(mesh, sel)
+        try:
+            dom = geometry.extract_subdomain(mesh, lambda _: sel)
+        except ValueError as exc:
+            assert str(exc) == expected
+            outcomes.add(expected)
+            continue
+        got = (dom.vertex_set, dom.interior_set, dom.frontier_set)
+        for g, w in zip(got, expected):
+            assert g.dtype == np.int64 and np.array_equal(g, w)
+        outcomes.add("ok")
+    assert outcomes == {"ok", "selection is disconnected", "selection has empty interior"}

@@ -184,6 +184,21 @@ def test_prescribe_rejects_inadmissible_target():
     assert err.value.stage == "route-selection"
 
 
+def test_prescribe_refused_at_condition_a_skips_assembly(monkeypatch):
+    mesh, geom = preset("round-s3", 2)
+    calls = []
+    assemble = gi._operators.assemble
+    monkeypatch.setattr(gi._operators, "assemble",
+                        lambda *a, **k: calls.append(1) or assemble(*a, **k))
+    odd = ScalarField(mesh.vertices[:, 3], mesh.mesh_id)
+    with pytest.raises(gi.PipelineError) as err:
+        gi.prescribe(mesh, geom, odd)
+    assert err.value.stage == "condition-a"
+    assert calls == []
+    gi.prescribe(mesh, geom, ScalarField(np.full(mesh.num_vertices, 6.0), mesh.mesh_id))
+    assert calls == [1]
+
+
 def test_report_to_text_roundtrip_determinism():
     mesh, geom = preset("round-s3", 1)
     S = ScalarField(np.full(mesh.num_vertices, 6.0), mesh.mesh_id)
