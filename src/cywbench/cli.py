@@ -264,7 +264,6 @@ class RunConfig:
     preset: str = "flat-t3"
     refinement: int = 1
     bc_mode: str = "closed"
-    route_override: Optional[str] = None
     S_spec: dict = field(default_factory=lambda: {"kind": "constant", "level": 1.0})
     tolerances: dict = field(default_factory=dict)
     output_dir: Optional[str] = None
@@ -272,9 +271,11 @@ class RunConfig:
     def validated(self) -> "RunConfig":
         if self.refinement < 0:
             raise ConfigError("refinement must be >= 0")
-        if self.bc_mode not in ("closed", "dirichlet", "robin"):
+        if self.bc_mode not in ("closed", "robin"):
             raise ConfigError(f"unknown bc_mode {self.bc_mode!r}")
         for key, val in self.tolerances.items():
+            if key != "gamma":
+                raise ConfigError(f"unknown tolerance {key!r}; [tolerances] takes gamma")
             if float(val) <= 0:
                 raise ConfigError(f"tolerance override {key!r} must be > 0")
         return self
@@ -316,7 +317,6 @@ def config_from_sections(sections: dict) -> RunConfig:
         preset=run_sec.get("preset", "flat-t3"),
         refinement=_int(run_sec, "refinement", 1),
         bc_mode=run_sec.get("bc_mode", "closed"),
-        route_override=run_sec.get("route_override") or None,
         output_dir=run_sec.get("output_dir") or None,
     )
     s_sec = sections.get("S", {"kind": "constant", "level": "1.0"})
@@ -490,28 +490,30 @@ def _exit_for_stage(stage: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _preset(cfg: RunConfig):
+    """The config's preset mesh and geometry; a bad preset is a ConfigError."""
+    try:
+        mesh, geom = _geometry.build_preset(cfg.preset, cfg.refinement)
+    except (KeyError, ValueError) as err:
+        raise ConfigError(str(err)) from err
+    if cfg.bc_mode == "robin" and mesh.is_closed:
+        raise ConfigError(f"bc_mode 'robin' needs a preset with boundary, not {cfg.preset!r}")
+    return mesh, geom
+
+
 def run(config: RunConfig) -> int:
     """Run the full pipeline for one config; write report and plot data."""
     config = config.validated()
     outdir = _output_dir(config.output_dir)
 
     try:
-        mesh, geom = _geometry.build_preset(config.preset, config.refinement)
-    except (KeyError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    if config.route_override:
-        geom.metadata["routing"] = config.route_override
-    try:
+        mesh, geom = _preset(config)
         S = build_target_field(mesh, geom, config.S_spec)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    glue = _global.GluingConfig(
-        gamma=config.tolerances.get("gamma", 1e-2),
-        theta=config.tolerances.get("theta", 1.0),
-    )
+    glue = _global.GluingConfig(gamma=config.tolerances.get("gamma", 1e-2))
     code = EXIT_OK
     try:
         report = _global.prescribe(mesh, geom, S, bc_mode=config.bc_mode,
@@ -533,27 +535,27 @@ def run(config: RunConfig) -> int:
 
 
 def bench(config_paths, outdir=None) -> int:
-    """Run a config matrix; emit per-stage wall-clock rows, never abort."""
+    """Run every config, one wall-clock row each; exit 2 if any is invalid."""
     outdir = _output_dir(outdir)
     rows = []
+    result = EXIT_OK
     for path in sorted(str(p) for p in config_paths):
         label = Path(path).stem
         t0 = time.perf_counter()
         try:
             cfg = config_from_sections(parse_config_text(Path(path).read_text()))
             cfg.output_dir = str(outdir / label)
-            mesh, _ = _geometry.build_preset(cfg.preset, cfg.refinement)
-            nverts = mesh.num_vertices
+            nverts = _preset(cfg)[0].num_vertices
             code = run(cfg)
             status = "ok" if code == EXIT_OK else f"exit-{code}"
         except (ConfigError, OSError) as err:
-            nverts, status = 0, f"error: {err}"
+            nverts, status, result = 0, f"error: {err}", EXIT_CONFIG
         rows.append([label, nverts, status, repr(time.perf_counter() - t0)])
     _write_csv(outdir / "bench.csv", ["config", "vertices", "status", "seconds"],
                rows)
     for row in rows:
         print(",".join(str(c) for c in row))
-    return EXIT_OK
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +568,7 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "config", None):
         sections = parse_config_text(Path(args.config).read_text())
     cfg = config_from_sections(sections)
-    for attr in ("preset", "refinement", "bc_mode", "route_override", "output_dir"):
+    for attr in ("preset", "refinement", "bc_mode", "output_dir"):
         val = getattr(args, attr.replace("-", "_"), None)
         if val is not None:
             setattr(cfg, attr, val)
@@ -581,7 +583,7 @@ def _load_config(args) -> RunConfig:
 
 def _cmd_mesh_gen(args) -> int:
     cfg = _load_config(args)
-    mesh, _ = _geometry.build_preset(cfg.preset, cfg.refinement)
+    mesh, _ = _preset(cfg)
     outdir = _output_dir(cfg.output_dir)
     path = outdir / f"{cfg.preset}-r{cfg.refinement}.mesh"
     _geometry.write_mesh(mesh, path)
@@ -591,7 +593,7 @@ def _cmd_mesh_gen(args) -> int:
 
 def _cmd_eigen(args) -> int:
     cfg = _load_config(args)
-    mesh, geom = _geometry.build_preset(cfg.preset, cfg.refinement)
+    mesh, geom = _preset(cfg)
     ops = _operators.assemble(mesh, geom, DimensionConstants(3),
                               bc_mode=cfg.bc_mode)
     eig = _operators.first_eigenpair(ops, mass=args.mass, operator=args.operator)
@@ -604,7 +606,7 @@ def _cmd_eigen(args) -> int:
 
 
 def _gate_inputs(cfg):
-    mesh, geom = _geometry.build_preset(cfg.preset, cfg.refinement)
+    mesh, geom = _preset(cfg)
     S = build_target_field(mesh, geom, cfg.S_spec)
     domain, lam = _global._pick_region_domain(mesh, geom, S)
     return mesh, geom, domain, lam
@@ -656,7 +658,7 @@ def _cmd_prescribe(args) -> int:
 
 def _cmd_check_condition_a(args) -> int:
     cfg = _load_config(args)
-    mesh, _ = _geometry.build_preset(cfg.preset, cfg.refinement)
+    mesh, _ = _preset(cfg)
     if cfg.S_spec.get("kind") != "named":
         raise ConfigError("condition-a check needs a named sphere function")
     Q_vec = _NAMED_SPHERE_FUNCTIONS[cfg.S_spec["name"]]
@@ -671,14 +673,9 @@ def _cmd_check_condition_a(args) -> int:
 
 def _cmd_check_obstructions(args) -> int:
     cfg = _load_config(args)
-    mesh, geom = _geometry.build_preset(cfg.preset, cfg.refinement)
+    mesh, geom = _preset(cfg)
     S = build_target_field(mesh, geom, cfg.S_spec)
-    try:
-        report = _global.prescribe(mesh, geom, S, bc_mode=cfg.bc_mode)
-    except _global.PipelineError as err:
-        print(f"pipeline failure: {err}", file=sys.stderr)
-        return _exit_for_stage(err.stage)
-    u = report.metadata["solution"]
+    u = _global.prescribe(mesh, geom, S, bc_mode=cfg.bc_mode).metadata["solution"]
     ops = _operators.assemble(mesh, geom, DimensionConstants(3),
                               bc_mode=cfg.bc_mode)
     obs = _sphere.obstruction_report(S, u, geom.scalar_curvature, ops)
@@ -707,9 +704,7 @@ def _add_common(parser) -> None:
     parser.add_argument("--config", help="config file ([section] + key = value)")
     parser.add_argument("--preset", help="geometry preset identifier")
     parser.add_argument("--refinement", type=int, help="mesh refinement level")
-    parser.add_argument("--bc-mode", dest="bc_mode",
-                        choices=["closed", "dirichlet", "robin"])
-    parser.add_argument("--route-override", dest="route_override")
+    parser.add_argument("--bc-mode", dest="bc_mode", choices=["closed", "robin"])
     parser.add_argument("--output-dir", dest="output_dir")
     parser.add_argument("--constant-S", dest="constant_S", type=float,
                         help="constant target curvature level")
@@ -785,12 +780,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    except _global.PipelineError as err:
+        print(f"pipeline failure: {err}", file=sys.stderr)
+        return _exit_for_stage(err.stage)
 
 
 if __name__ == "__main__":

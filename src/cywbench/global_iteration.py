@@ -3,16 +3,22 @@
 The global stage works in the lumped vertexwise discretization: the operator
 row at vertex i is
 
-    D(u)_i = (a K u)_i + m_i R_i u_i (+ robin boundary row) - m_i S_i u_i^{p-1}
+    D(u)_i = (a K u)_i + P_i u_i - m_i S_i u_i^{p-1}
 
-with m_i the lumped mass.  A fixed point of the monotone iteration makes the
-recomputed curvature u^{1-p} (a K u + m R u)/m equal S exactly, which is what
-the verification step measures.  Sub-solutions are exact zero extensions of
-local solutions, verified in the assembled (consistent) weak form against
-the nonnegative nodal test cone; super-solution candidates are gluings of
-the local solution with the scaled first eigenfunction, root-found on the
-lumped rows by ``operators.damped_newton`` and verified pointwise in the
-lumped strong form.
+with m_i the lumped mass and P_i = m_i R_i, plus the lumped Robin term under
+Robin conditions.  ``operators`` owns the Robin term of both discrete forms:
+the lumped rows, Jacobians and iteration matrices and the consistent weak
+rows here take it from ``AssembledOperators.add_robin``, the conformal
+Laplacian from ``operators`` itself.  The bracket functions read the mesh,
+geometry, constants and boundary mode from the operators they are given.
+A fixed point of the monotone iteration makes the recomputed curvature
+u^{1-p} (a K u + m R u)/m equal S exactly, which is what the verification
+step measures.  Sub-solutions are exact zero extensions of local solutions,
+verified in the assembled (consistent) weak form against the nonnegative
+nodal test cone; super-solution candidates are gluings of the local solution
+with the scaled first eigenfunction, root-found on the lumped rows by
+``operators.damped_newton`` and verified pointwise in the lumped strong
+form.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, diags
+from scipy.sparse import coo_matrix, diags
 from scipy.sparse.linalg import splu
 
 from . import geometry as _geometry
@@ -62,15 +68,16 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class GluingConfig:
+    """Gluing input ``gamma``; the pipeline fills in and reports the rest."""
+
     gamma: float = 1e-2
     theta: float = 1.0
     mollifier_width: Optional[float] = None
     beta_margin: Optional[float] = None
 
     def validated(self) -> "GluingConfig":
-        for name in ("gamma", "theta"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.gamma <= 0:
+            raise ValueError("gamma must be > 0")
         return self
 
 
@@ -108,18 +115,13 @@ def _lumped_rows(ops: AssembledOperators, u: np.ndarray, S: np.ndarray) -> np.nd
         + ops.curvature_mass_lumped * u
         - ops.mass_lumped * S * np.abs(u) ** (p - 2.0) * u
     )
-    if ops.bc_mode == "robin" and ops.boundary_mass_lumped is not None:
-        r = r + ops.boundary_mass_lumped * u
-    return r
+    return ops.add_robin(r, u, lumped=True)
 
 
 def _lumped_jacobian(ops: AssembledOperators, u: np.ndarray, S: np.ndarray):
     p = ops.constants.p
-    d = ops.curvature_mass_lumped - ops.mass_lumped * S * (p - 1.0) * np.abs(u) ** (
-        p - 2.0
-    )
-    if ops.bc_mode == "robin" and ops.boundary_mass_lumped is not None:
-        d = d + ops.boundary_mass_lumped
+    d = ops.curvature_mass_lumped - ops.mass_lumped * S * (p - 1.0) * np.abs(u) ** (p - 2.0)
+    d = ops.add_robin(d, 1.0, lumped=True)
     return (ops.constants.a * ops.stiffness + diags(d)).tocsc()
 
 
@@ -134,9 +136,7 @@ def _consistent_rows(ops: AssembledOperators, u: np.ndarray, S: np.ndarray):
         + ops.curvature_mass @ u
         - ops.nonlinear_load(u, S)
     )
-    if ops.bc_mode == "robin" and ops.boundary_mass is not None:
-        r = r + ops.boundary_mass @ u
-    return r
+    return ops.add_robin(r, u)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,6 @@ def _consistent_rows(ops: AssembledOperators, u: np.ndarray, S: np.ndarray):
 def make_subsolution(
     local_u: ScalarField,
     domain: Domain,
-    mesh: Mesh,
     ops: AssembledOperators,
     S: ScalarField,
 ) -> ScalarField:
@@ -163,10 +162,10 @@ def make_subsolution(
     v = local_u.values
     if v[domain.interior_set].min() < 0:
         raise ValueError("local solution negative on the domain interior")
-    u = np.zeros(mesh.num_vertices)
+    u = np.zeros(ops.num_vertices)
     u[domain.vertex_set] = v[domain.vertex_set]
     u[domain.frontier_set] = 0.0
-    out = ScalarField(u, mesh.mesh_id, {})
+    out = ScalarField(u, ops.mesh.mesh_id, {})
     wk = _consistent_rows(ops, u, S.values) / ops.mass_lumped
     out.metadata["weak_rows_max"] = float(wk.max())
     out.metadata["strong_residual_max"] = float(
@@ -183,7 +182,6 @@ def make_subsolution(
 def scale_eigenfunction(
     eig: EigenResult,
     S: ScalarField,
-    constants: DimensionConstants,
     ops: AssembledOperators,
 ):
     """Largest dyadic theta making theta*phi a strict pointwise super-solution.
@@ -200,7 +198,7 @@ def scale_eigenfunction(
     smax = float(S.values.max())
     if smax <= 0:
         raise ValueError("max S must be positive")
-    p = constants.p
+    p = ops.constants.p
     pm2 = p - 2.0
     bound = eig.eigenvalue * phi.min() / (
         2.0 * 2.0**pm2 * smax * phi.max() ** (p - 1.0)
@@ -267,11 +265,9 @@ def glue_supersolution(
     u1: ScalarField,
     phi_scaled: ScalarField,
     domain: Domain,
-    geom: GeometrySpec,
     config: GluingConfig,
     ops: AssembledOperators,
     S: ScalarField,
-    mesh: Mesh,
 ) -> ScalarField:
     """Super-solution dominating both the local solution and theta*phi.
 
@@ -285,19 +281,19 @@ def glue_supersolution(
     residual.
     """
     config.validated()
+    mesh = ops.mesh
     phi = phi_scaled.values.copy()
     u1v = u1.values
     Sv = S.values
     gamma = config.gamma
-    if config.mollifier_width is None:
-        config.mollifier_width = 2.5 * mesh.min_edge_length()
+    config.mollifier_width = 2.5 * mesh.min_edge_length()
     # shrink gamma until both margin constraints hold against the recorded
     # beta margin: 20*lam*g + 2*g^2*sup|R| < beta/2 and
     # 31*lam*(phi+g)^{p-2}*g < beta/2
     if config.beta_margin is not None and config.beta_margin > 0:
         pm2 = ops.constants.p - 2.0
         lam_loc = float(np.abs(Sv[domain.vertex_set]).max())
-        supR = float(np.abs(geom.scalar_curvature.values).max())
+        supR = float(np.abs(ops.geom.scalar_curvature.values).max())
         half = 0.5 * config.beta_margin
         for _ in range(200):
             c1 = 20.0 * lam_loc * gamma + 2.0 * gamma**2 * supR
@@ -316,6 +312,9 @@ def glue_supersolution(
     def newton_step(u, r):
         return splu(_lumped_jacobian(ops, u, Sv)).solve(-r)
 
+    def mollified(f):
+        return _geometry.mollify(ScalarField(f, mesh.mesh_id), mesh, config.mollifier_width).values
+
     worst = (None, 0.0)
     phi_scale = 1.0
     attempts = []
@@ -324,18 +323,10 @@ def glue_supersolution(
             return ScalarField(
                 phi, mesh.mesh_id, {"branch": "eigenfunction-dominates", "theta_used": float(phi_scaled.metadata.get("theta", 0.0))}
             )
-        w = u1v - phi - gamma
-        chi1 = _transition_cutoff(ops, w, gamma, drift=True)
+        chi1 = _transition_cutoff(ops, u1v - phi - gamma, gamma, drift=True)
         chi_top = _transition_cutoff(ops, u1v - phi, gamma, drift=False)
-        mol_w = config.mollifier_width
-        chi1 = _geometry.mollify(
-            ScalarField(chi1, mesh.mesh_id), mesh, mol_w
-        ).values
-        chi_top = _geometry.mollify(
-            ScalarField(chi_top, mesh.mesh_id), mesh, mol_w
-        ).values
-        chi1 = np.clip(chi1, 0.0, 1.0)
-        chi_top = np.clip(np.maximum(chi_top, chi1), 0.0, 1.0)
+        chi1 = np.clip(mollified(chi1), 0.0, 1.0)
+        chi_top = np.clip(np.maximum(mollified(chi_top), chi1), 0.0, 1.0)
         chi2 = chi_top - chi1
         chi3 = 1.0 - chi_top
         blend = chi1 * u1v + chi2 * (phi + gamma) + chi3 * phi
@@ -396,7 +387,6 @@ def glue_supersolution(
 def verify_inequalities(
     u_minus: ScalarField,
     u_plus: ScalarField,
-    geom: GeometrySpec,
     S: ScalarField,
     ops: AssembledOperators,
 ) -> dict:
@@ -445,10 +435,8 @@ def verify_inequalities(
 def monotone_iterate(
     u_minus: ScalarField,
     u_plus: ScalarField,
-    geom: GeometrySpec,
     S: ScalarField,
     ops: AssembledOperators,
-    bc_mode: str = "closed",
 ):
     """Shifted monotone iteration from the sub-solution inside the bracket.
 
@@ -461,7 +449,8 @@ def monotone_iterate(
     """
     um, up = u_minus.values, u_plus.values
     Sv = S.values
-    Rv = ops.curvature_mass_lumped / ops.mass_lumped
+    mL = ops.mass_lumped
+    Rv = ops.curvature_mass_lumped / mL
     cst = ops.constants
     p = cst.p
     s_lo = max(0.0, float(um.min()))
@@ -471,9 +460,7 @@ def monotone_iterate(
     k = k_stated
 
     for k_round in range(2):
-        A = cst.a * ops.stiffness + diags(ops.mass_lumped * (Rv + k))
-        if bc_mode == "robin" and ops.boundary_mass_lumped is not None:
-            A = A + diags(ops.boundary_mass_lumped)
+        A = ops.add_robin(cst.a * ops.stiffness + diags(mL * (Rv + k)), lumped=True)
         lu = splu(A.tocsc())
         u = um.copy()
         iterates = [ScalarField(u.copy(), u_minus.mesh_id)]
@@ -481,7 +468,7 @@ def monotone_iterate(
         violations = 0
         ok = True
         for _ in range(500):
-            rhs = ops.mass_lumped * (Sv * np.abs(u) ** (p - 2.0) * u + k * u)
+            rhs = mL * (Sv * np.abs(u) ** (p - 2.0) * u + k * u)
             u_next = lu.solve(rhs)
             if (u_next < u - 1e-12).any() or (u_next > up + 1e-12).any():
                 violations += 1
@@ -514,7 +501,6 @@ def monotone_iterate(
     if u.min() <= 0:
         raise PipelineError("monotone_iterate", "limit not strictly positive")
     # relative residual of the limit
-    mL = ops.mass_lumped
     scale = max(dual_norm(mL * Sv * u ** (p - 1.0), mL), 1e-300)
     state.metadata["final_relative_residual"] = (
         dual_norm(_lumped_rows(ops, u, Sv), mL) / scale
@@ -612,11 +598,8 @@ def positive_mean_curvature_normalization(
     pm2 = cst.p_minus_2
     f = np.zeros(n)
     f[bnd] = (2.0 / pm2) * (1.0 - hv[bnd])
-    A = (
-        cst.a * ops.stiffness + ops.curvature_mass + ops.boundary_mass
-    ).tocsc()
     rhs = cst.a * (ops.boundary_mass_plain @ f)
-    w = splu(A).solve(rhs)
+    w = splu(ops.conformal_laplacian_matrix().tocsc()).solve(rhs)
     t = 1.0
     for _ in range(60):
         v = 1.0 + t * w
@@ -647,41 +630,40 @@ def positive_mean_curvature_normalization(
 # ---------------------------------------------------------------------------
 
 
-def _constant_route(mesh, geom, S, ops, route):
+def _is_constant(values: np.ndarray) -> bool:
+    """Whether a vertex field is constant up to 1e-12 relative."""
+    return float(values.max() - values.min()) <= 1e-12 * max(1.0, abs(float(values.max())))
+
+
+def _constant_route(S, ops):
     """Exact constant conformal factor for constant S on a constant-R preset."""
-    Rv = geom.scalar_curvature.values
     Sv = S.values
-    c = Rv[0]
-    lam = Sv[0]
-    pm2 = ops.constants.p_minus_2
-    if abs(lam - c) <= 1e-14 * max(abs(c), 1.0):
-        u = np.ones(mesh.num_vertices)
-    else:
-        if c <= 0 or lam <= 0:
-            raise PipelineError(
-                "trivial-constant",
-                "constant route needs positive constant curvature and target",
-            )
-        u = np.full(mesh.num_vertices, (c / lam) ** (1.0 / pm2))
-    uf = ScalarField(u, mesh.mesh_id, {"route": "constant"})
-    rows = _strong_residual(ops, u, Sv)
-    box = ops.apply_conformal_laplacian_vec(u)
-    Rnew = box / u ** (ops.constants.p - 1.0)
-    res = float(np.abs(Rnew - Sv).max()) / max(float(np.abs(Sv).max()), 1e-300)
+    c, lam = ops.geom.scalar_curvature.values[0], Sv[0]
+    trivial = abs(lam - c) <= 1e-14 * max(abs(c), 1.0)
+    if not trivial and (c <= 0 or lam <= 0):
+        raise PipelineError(
+            "trivial-constant",
+            "constant route needs positive constant curvature and target",
+        )
+    u = np.full(ops.num_vertices, 1.0 if trivial else (c / lam) ** (1.0 / ops.constants.p_minus_2))
+    Rnew = ops.apply_conformal_laplacian_vec(u) / u ** (ops.constants.p - 1.0)
     verification = {
-        "curvature_residual_rel": res,
+        "curvature_residual_rel": float(np.abs(Rnew - Sv).max())
+        / max(float(np.abs(Sv).max()), 1e-300),
         "min_u": float(u.min()),
         "boundary_residual": 0.0,
-        "sup_norm_error_vs_one": float(np.abs(u - 1.0).max())
-        if abs(lam - c) <= 1e-14 * max(abs(c), 1.0)
-        else None,
-        "strong_rows_max_abs": float(np.abs(rows).max()),
+        "sup_norm_error_vs_one": float(np.abs(u - 1.0).max()) if trivial else None,
+        "strong_rows_max_abs": float(np.abs(_strong_residual(ops, u, Sv)).max()),
     }
-    return uf, verification
+    return ScalarField(u, ops.mesh.mesh_id, {"route": "constant"}), verification
 
 
 def _pick_region_domain(mesh, geom, S):
-    """Domain for the local stage: the S-admissibility region metadata."""
+    """Domain for the local stage: the S-admissibility region metadata.
+
+    Every failure, an empty domain included, is a ``route-selection``
+    ``PipelineError``.
+    """
     meta = S.metadata
     if "admissible_region" in meta:
         # the solve domain sits inside the region, eroded to where the
@@ -691,24 +673,26 @@ def _pick_region_domain(mesh, geom, S):
             np.asarray(meta["admissible_region"], dtype=np.int64),
             float(meta.get("admissible_width", 0.0)),
         )
-        return _geometry.extract_subdomain(mesh, lambda _: sel), float(
-            meta["admissible_level"]
+        pred, lam = (lambda _: sel), float(meta["admissible_level"])
+    elif not (_is_constant(S.values) and "marked_region_radius" in geom.metadata):
+        raise PipelineError(
+            "route-selection",
+            "S is neither admissible-class (region metadata) nor constant "
+            "on a preset with a marked region",
         )
-    # globally constant S on a marked-region preset
-    Sv = S.values
-    if float(Sv.max() - Sv.min()) <= 1e-12 * max(1.0, abs(float(Sv.max()))):
-        center = np.asarray(geom.metadata.get("marked_region_center"))
-        radius = float(geom.metadata.get("marked_region_radius"))
+    else:  # globally constant S on a marked-region preset
+        center = np.asarray(geom.metadata["marked_region_center"])
+        radius = float(geom.metadata["marked_region_radius"])
 
         def pred(v):
             d = mesh.displacement(np.broadcast_to(center, v.shape), v)
             return np.einsum("ij,ij->i", d, d) < radius**2
 
-        return _geometry.extract_subdomain(mesh, pred), float(Sv[0])
-    raise PipelineError(
-        "route-selection",
-        "S is neither admissible-class (region metadata) nor constant",
-    )
+        lam = float(S.values[0])
+    try:
+        return _geometry.extract_subdomain(mesh, pred), lam
+    except ValueError as err:
+        raise PipelineError("route-selection", str(err)) from err
 
 
 def _condition_a_on_field(mesh, S):
@@ -736,7 +720,6 @@ def prescribe(
     cst = DimensionConstants(3)
     route = geom.metadata.get("routing", "not-lcf-in-O")
     Sv = S.values
-    constant_S = float(Sv.max() - Sv.min()) <= 1e-12 * max(1.0, abs(float(Sv.max())))
 
     obstructions = None
     if route == "scenario-a-sphere":
@@ -761,14 +744,12 @@ def prescribe(
         obstructions = verdict
 
     ops = _operators.assemble(mesh, geom, cst, bc_mode=bc_mode)
-    if constant_S and float(
+    if _is_constant(Sv) and float(
         np.abs(geom.scalar_curvature.values
                - geom.scalar_curvature.values[0]).max()
     ) <= 1e-12:
-        u, verification = _constant_route(
-            mesh, geom, S, ops, "trivial-constant"
-        )
-        report = SolveReport(
+        u, verification = _constant_route(S, ops)
+        return SolveReport(
             pipeline_route="trivial-constant",
             thresholds=None,
             eig=None,
@@ -776,10 +757,8 @@ def prescribe(
             iteration=None,
             verification=verification,
             obstructions=obstructions,
-            metadata={"accepted": verification["min_u"] > 0},
+            metadata={"accepted": verification["min_u"] > 0, "solution": u},
         )
-        report.metadata["solution"] = u
-        return report
 
     # --- general bracket pipeline -----------------------------------------
     work_geom = geom
@@ -797,10 +776,7 @@ def prescribe(
             work_ops = _operators.assemble(mesh, work_geom, cst, bc_mode="robin")
             factors.append(v_h)
 
-    try:
-        domain, lam = _pick_region_domain(mesh, work_geom, S)
-    except ValueError as err:
-        raise PipelineError("route-selection", str(err)) from err
+    domain, lam = _pick_region_domain(mesh, work_geom, S)
     if lam <= 0:
         raise PipelineError("route-selection", "admissible level must be positive")
 
@@ -851,8 +827,8 @@ def prescribe(
             "eigen",
             f"first eigenvalue {eig.eigenvalue:.6g} not positive on this route",
         )
-    u_minus = make_subsolution(local, domain, mesh, work_ops, S)
-    theta, phi_s = scale_eigenfunction(eig, S, cst, work_ops)
+    u_minus = make_subsolution(local, domain, work_ops, S)
+    theta, phi_s = scale_eigenfunction(eig, S, work_ops)
     config.theta = theta
     # margin beta = max over the region of (eta_1 phi - 2^{p-2} lam phi^{p-1})
     config.beta_margin = float(
@@ -880,23 +856,18 @@ def prescribe(
         )
 
     try:
-        u_plus = glue_supersolution(
-            local, phi_s, domain, work_geom, config, work_ops, S, mesh
-        )
-        ineq = verify_inequalities(u_minus, u_plus, work_geom, S, work_ops)
+        u_plus = glue_supersolution(local, phi_s, domain, config, work_ops, S)
+        ineq = verify_inequalities(u_minus, u_plus, S, work_ops)
         if not ineq["pass"]:
             raise PipelineError("verify-inequalities", f"bracket invalid: {ineq}")
-        u, state = monotone_iterate(
-            u_minus, u_plus, work_geom, S, work_ops, bc_mode
-        )
+        u, state = monotone_iterate(u_minus, u_plus, S, work_ops)
     except PipelineError as err:
         if err.report is None:
             err.report = _failure_report(err.stage, str(err))
         raise
 
     # verification in the working geometry
-    uf = ScalarField(u.values, mesh.mesh_id)
-    new_geom = _operators.conformal_change(work_geom, uf, work_ops)
+    new_geom = _operators.conformal_change(work_geom, u, work_ops)
     Rnew = new_geom.scalar_curvature.values
     interior = (
         ~mesh.vertex_flags if bc_mode == "robin" else np.ones(mesh.num_vertices, bool)
@@ -917,7 +888,7 @@ def prescribe(
         "boundary_residual": boundary_res,
         "ineq_report": ineq,
     }
-    report = SolveReport(
+    return SolveReport(
         pipeline_route=route,
         thresholds=thresholds,
         eig=eig,
@@ -932,10 +903,9 @@ def prescribe(
                 and (bc_mode != "robin" or boundary_res <= 1e-6)
             ),
             "normalization_factors": factors,
+            "solution": u,
         },
     )
-    report.metadata["solution"] = u
-    return report
 
 
 # ---------------------------------------------------------------------------

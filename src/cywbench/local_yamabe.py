@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import bmat, csc_matrix
@@ -47,7 +47,8 @@ __all__ = [
 ]
 
 GATE_SAFETY = 0.99
-DEFAULT_EPS_SWEEP = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
+EPS_SWEEP = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
+BETA_RATIO = 0.5  # beta_continuation's step: beta_k = beta0 * BETA_RATIO^k
 
 
 @dataclass
@@ -173,7 +174,6 @@ def energy_gate(
     constants: DimensionConstants,
     lam: float,
     beta: float,
-    eps_sweep: Optional[Sequence[float]] = None,
     ops: Optional[AssembledOperators] = None,
 ) -> EnergyThresholds:
     """Energy-gap gate: pass iff the best test-function quotient < T_used.
@@ -193,7 +193,6 @@ def energy_gate(
     ops = _get_ops(mesh, domain, geom, constants, ops)
     a = constants.a
     n = constants.n
-    eps_sweep = tuple(eps_sweep) if eps_sweep is not None else DEFAULT_EPS_SWEEP
 
     advisory = False
     Rvals = geom.scalar_curvature.values[domain.vertex_set]
@@ -215,7 +214,7 @@ def energy_gate(
     per_eps = {}
     per_eps_pure = {}
     T_est = None
-    for eps in eps_sweep:
+    for eps in EPS_SWEEP:
         tf = test_function(
             mesh, domain, geom, TestFunctionParams(eps, beta, center, radius)
         )
@@ -253,7 +252,7 @@ def energy_gate(
             "beta": beta,
             "center": center,
             "radius": radius,
-            "eps_sweep": list(eps_sweep),
+            "eps_sweep": list(EPS_SWEEP),
             "q_per_eps": per_eps,
             "q_pure_per_eps": per_eps_pure,
             "eps_star": eps_star,
@@ -482,10 +481,9 @@ def beta_continuation(
     constants: DimensionConstants,
     lam: float,
     beta0: float,
-    ratio: float = 0.5,
     ops: Optional[AssembledOperators] = None,
 ) -> ContinuationTrace:
-    """Warm-started continuation beta_k = beta0 * ratio^k toward 0^-.
+    """Warm-started continuation beta_k = beta0 * BETA_RATIO^k toward 0^-.
 
     Stops when |beta| < 1e-6 and the last two solutions differ by at most
     1e-8 in max norm.  The L^p norms are monitored against the gate-derived
@@ -493,8 +491,6 @@ def beta_continuation(
     """
     if beta0 >= 0:
         raise ValueError("beta0 must be < 0")
-    if not (0 < ratio < 1):
-        raise ValueError("ratio must be in (0, 1)")
     ops = _get_ops(mesh, domain, geom, constants, ops)
     gate = energy_gate(mesh, domain, geom, constants, lam, beta0, ops=ops)
     if not gate.gate_pass and not gate.metadata.get("advisory_only", False):
@@ -561,7 +557,7 @@ def beta_continuation(
                 break
         prev = sol
         current = sol
-        beta = beta * ratio
+        beta = beta * BETA_RATIO
     beta_zero = None
     if converged:
         # record the unperturbed local solution: one Newton polish at beta = 0
@@ -578,7 +574,7 @@ def beta_continuation(
         converged=converged,
         metadata={
             "lambda": lam,
-            "ratio": ratio,
+            "ratio": BETA_RATIO,
             "lp_bound": lp_bound,
             "gate_Q_eps": gate.Q_eps,
             "gate_T_est": T_est,

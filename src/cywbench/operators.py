@@ -5,6 +5,12 @@ Conventions
 * ``stiffness`` K is the metric-weighted weak form of -Laplace (no factor a).
 * ``mass`` M, ``curvature_mass`` M_R are consistent (order-2 quadrature).
 * ``boundary_mass`` M_h carries the Robin weight (2a/(p-2)) * h_g.
+* ``AssembledOperators.add_robin`` is the one place that adds the Robin
+  term, M_h to the consistent form (``conformal_laplacian_matrix``, weak
+  rows) and M_h^L to the lumped form (matrices, rows, Jacobian diagonals),
+  under ``bc_mode='robin'`` only.  It adds the term last, so every form
+  keeps one order of operations.  ``apply_conformal_laplacian_vec`` stays
+  Robin-free, because ``conformal_change`` removes the boundary flux itself.
 * Lumped diagonals are kept alongside: pointwise field operators use the
   lumped pair (diagonal inverse), spectra and quotients use the consistent
   matrices.  The L^p norm is always the order-2 quadrature of the P1
@@ -101,7 +107,6 @@ class AssembledOperators:
     boundary_mass_plain_lumped: Optional[np.ndarray]
     boundary_mass_lumped: Optional[np.ndarray]
 
-    metadata: dict = field(default_factory=dict)
     _free_quadratures: dict = field(default_factory=dict, init=False, repr=False)
 
     # ---- structure -------------------------------------------------------
@@ -117,9 +122,22 @@ class AssembledOperators:
             return self.domain.interior_set
         return np.arange(self.num_vertices)
 
+    def add_robin(self, x, u=None, lumped: bool = False):
+        """``x`` plus the Robin term under Robin conditions, else ``x``.
+
+        The term is M_h (``lumped``: diag(M_h^L)) for a matrix ``x``, M_h u
+        (M_h^L u) for rows ``x`` of u, and M_h^L for a diagonal (u = 1.0).
+        """
+        if self.bc_mode != "robin":
+            return x
+        if lumped:
+            Mh = self.boundary_mass_lumped
+            return x + (diags(Mh) if u is None else Mh * u)
+        return x + (self.boundary_mass if u is None else self.boundary_mass @ u)
+
     def conformal_laplacian_matrix(self, beta: float = 0.0) -> csr_matrix:
-        """a*K + M_R (+ beta*M), the consistent weak conformal Laplacian."""
-        L = self.constants.a * self.stiffness + self.curvature_mass
+        """a*K + M_R (+ M_h) (+ beta*M), the consistent weak conformal Laplacian."""
+        L = self.add_robin(self.constants.a * self.stiffness + self.curvature_mass)
         if beta != 0.0:
             L = L + beta * self.mass
         return L
@@ -140,12 +158,10 @@ class AssembledOperators:
     def volume(self) -> float:
         return self.integrate(np.ones_like(self.geom.volume_density))
 
-    def lp_norm(self, u: np.ndarray, p: Optional[float] = None) -> float:
+    def lp_norm(self, u: np.ndarray) -> float:
         """L^p norm by order-2 quadrature of |P1 interpolant|^p."""
-        if p is None:
-            p = self.constants.p
-        uq = np.abs(self.quad_values(u))
-        return self.integrate(uq**p) ** (1.0 / p)
+        p = self.constants.p
+        return self.integrate(np.abs(self.quad_values(u)) ** p) ** (1.0 / p)
 
     def nonlinear_load(self, u: np.ndarray, S: Optional[np.ndarray] = None):
         """Consistent load F with F_i = integral of S*|u|^{p-2}u * phi_i.
@@ -430,15 +446,11 @@ def apply_conformal_laplacian(ops: AssembledOperators, u: ScalarField) -> Scalar
 def _pencil(ops: AssembledOperators, mass: str, operator: str):
     if operator == "conformal":
         L = ops.conformal_laplacian_matrix()
-        if ops.bc_mode == "robin":
-            L = L + ops.boundary_mass
     elif operator == "conformal-lumped":
         # vertexwise form matching the global-stage rows, so the eigenpair's
         # lumped application is exactly eta * m * phi
-        L = ops.constants.a * ops.stiffness + diags(ops.curvature_mass_lumped)
-        if ops.bc_mode == "robin":
-            L = L + diags(ops.boundary_mass_lumped)
-        L = L.tocsr()
+        L = ops.add_robin(ops.constants.a * ops.stiffness
+                          + diags(ops.curvature_mass_lumped), lumped=True).tocsr()
     elif operator == "laplacian":
         L = ops.stiffness.copy()
     else:
@@ -534,8 +546,6 @@ def yamabe_quotient(ops: AssembledOperators, u: ScalarField) -> float:
     if not np.any(v):
         raise ValueError("zero field")
     num = float(v @ (ops.conformal_laplacian_matrix() @ v))
-    if ops.bc_mode == "robin":
-        num += float(v @ (ops.boundary_mass @ v))
     return num / ops.lp_norm(v) ** 2
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -49,6 +49,7 @@ __all__ = [
 FD_STEP = 1e-5
 VALUE_TOL = 1e-6
 GRAD_TOL = 1e-4
+OBSTRUCTION_TOL = 1e-3  # the tolerance an ObstructionReport records
 
 BASIS_NOTE = (
     "pair relations evaluated in frame-free form (depend only on the pair "
@@ -213,16 +214,15 @@ def _check_pairs(points, values_of, pairs, metadata):
 def check_condition_a(
     points: np.ndarray,
     Q: Union[Callable[[np.ndarray], float], np.ndarray],
-    pair_tolerance: Optional[float] = None,
 ) -> ConditionVerdict:
     """Antipodal value/gradient symmetry check on sphere samples.
 
     ``points`` is an (m, d) array of unit vectors; every point must have an
-    antipodal partner among the samples within ``pair_tolerance`` (default:
-    half the minimum sample spacing).  ``Q`` is a callable, evaluated once
-    per point, or an (m,) array of values at ``points`` read as nearest-sample
-    values; their difference gradients vanish, so only the value relation
-    can fail (``prescribe`` notes the form as the verdict's ``sampler``).
+    antipodal partner among the samples within half the minimum sample
+    spacing.  ``Q`` is a callable, evaluated once per point, or an (m,)
+    array of values at ``points`` read as nearest-sample values; their
+    difference gradients vanish, so only the value relation can fail
+    (``prescribe`` notes the form as the verdict's ``sampler``).
     """
     points = np.asarray(points, dtype=np.float64)
     tree = cKDTree(points)
@@ -231,9 +231,8 @@ def check_condition_a(
     else:
         sampled = np.asarray(Q, dtype=np.float64).reshape(len(points))
         values_of = lambda X: sampled[tree.query(X)[1]]  # noqa: E731
-    if pair_tolerance is None:
-        d2, _ = tree.query(points, k=2)
-        pair_tolerance = 0.5 * float(d2[:, 1].min())
+    d2, _ = tree.query(points, k=2)
+    pair_tolerance = 0.5 * float(d2[:, 1].min())
     dist, idx = tree.query(-points)
     bad = dist > pair_tolerance
     if bad.any():
@@ -350,7 +349,6 @@ def obstruction_report(
     u: ScalarField,
     R_field: ScalarField,
     ops: AssembledOperators,
-    tolerance: float = 1e-3,
 ) -> ObstructionReport:
     """Evaluate both obstructions for all ambient coordinate test data."""
     mesh = ops.mesh
@@ -361,6 +359,6 @@ def obstruction_report(
     return ObstructionReport(
         kw_values=kw,
         be_values=be,
-        tolerance=tolerance,
+        tolerance=OBSTRUCTION_TOL,
         metadata={"basis_note": BASIS_NOTE},
     )

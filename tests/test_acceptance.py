@@ -179,7 +179,7 @@ def test_criterion_05_gate_behavior(ball_gate_setup):
 def test_criterion_06_continuation_stability(ball_gate_setup):
     mesh, geom, dom, ops = ball_gate_setup
     trace = local_yamabe.beta_continuation(mesh, dom, geom, CST, 1.0, -0.2,
-                                           ratio=0.5, ops=ops)
+                                           ops=ops)
     tail = float(np.abs(trace.solutions[-1].values
                         - trace.solutions[-2].values).max())
     positive = all(
@@ -215,7 +215,7 @@ def test_criterion_08_supersolution_soundness():
     S = ScalarField(np.full(mesh.num_vertices, 6.0), mesh.mesh_id)
     eig = operators.first_eigenpair(ops, mass="lumped",
                                     operator="conformal-lumped")
-    _, phi_s = gi.scale_eigenfunction(eig, S, CST, ops)
+    _, phi_s = gi.scale_eigenfunction(eig, S, ops)
     c0 = mesh.vertices[0]
     dom = geometry.extract_subdomain(mesh, lambda v: v @ c0 > 0.5)
     # accepted outputs from both gluing branches
@@ -226,8 +226,7 @@ def test_criterion_08_supersolution_soundness():
     details = []
     ok = True
     for u1 in subs:
-        up = gi.glue_supersolution(u1, phi_s, dom, geom, gi.GluingConfig(),
-                                   ops, S, mesh)
+        up = gi.glue_supersolution(u1, phi_s, dom, gi.GluingConfig(), ops, S)
         rmin = float(gi._strong_residual(ops, up.values, S.values).min())
         dom_ok = bool((up.values >= u1.values).all())
         ok = ok and rmin >= -1e-10 and dom_ok

@@ -183,6 +183,22 @@ def test_console_entry_point():
     assert "prescribe" in out.stdout
 
 
+@pytest.mark.parametrize("command", [
+    "eigen --preset flat-t3 --refinement 0 --bc-mode dirichlet",
+    "prescribe --preset flat-t3 --refinement 0 --bc-mode dirichlet",
+    "eigen --preset flat-t3 --refinement 0 --bc-mode robin",
+    "prescribe --preset round-s3 --refinement 1 --bc-mode robin --constant-S 6",
+    "mesh gen --preset nope --refinement 0",
+    "gate --preset round-s3 --refinement 1 --constant-S 6",
+    "bench {nope}",
+])
+def test_invalid_input_exit_two(command, tmp_path):
+    nope = tmp_path / "nope.cfg"
+    nope.write_text("[run]\npreset = nope\nrefinement = 0\n")
+    argv = command.format(nope=nope).split() + ["--output-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+
+
 def test_prescribe_empty_local_domain_exit_two(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("[run]\npreset = bump-t3\nrefinement = 1\n"

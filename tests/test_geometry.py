@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cywbench import geometry
+from cywbench import geometry, operators
 from cywbench.geometry import ScalarField
 
-from conftest import preset
+from conftest import assembled, preset
 
 
 def test_flat_torus_total_volume():
@@ -68,6 +69,20 @@ def test_bump_t3_marked_region_negative():
 def test_unknown_preset_rejected():
     with pytest.raises((KeyError, ValueError)):
         geometry.build_preset("no-such-preset", 1)
+
+
+@pytest.mark.parametrize("pid,refinement,conformal",
+                         [(p, r, False) for p in geometry.PRESET_IDS for r in (0, 1)]
+                         + [("bump-t3", 1, True)])
+def test_geometry_spec_validate(pid, refinement, conformal):
+    mesh, geom = preset(pid, refinement)
+    if conformal:
+        v = ScalarField(1.0 + 0.1 * np.sin(2 * np.pi * mesh.vertices[:, 0]), mesh.mesh_id)
+        geom = operators.conformal_change(geom, v, assembled(pid, refinement))
+    geom.validate()
+    scaled = dataclasses.replace(geom, volume_density=geom.volume_density * (1 + 1e-9))
+    with pytest.raises(ValueError, match="volume_density"):
+        scaled.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from cywbench import geometry, global_iteration as gi, operators
 from cywbench.geometry import ScalarField
 
-from conftest import CST, assembled, preset
+from conftest import assembled, preset
 
 
 def _sphere_setup():
@@ -28,7 +28,7 @@ def _cap_domain(mesh):
 def test_verify_inequalities_trivial_pair():
     mesh, geom, ops, S = _sphere_setup()
     one = ScalarField(np.ones(mesh.num_vertices), mesh.mesh_id)
-    rep = gi.verify_inequalities(one, one, geom, S, ops)
+    rep = gi.verify_inequalities(one, one, S, ops)
     assert rep["pass"]
     assert rep["ordering_pass"]
     assert abs(rep["sub_weak_rows_max"]) < 1e-10
@@ -43,7 +43,7 @@ def test_verify_inequalities_rejects_fabricated_sub():
     ops = assembled("flat-t3", 1)
     S = ScalarField(np.full(mesh.num_vertices, 90.0), mesh.mesh_id)
     half = ScalarField(np.full(mesh.num_vertices, 0.5), mesh.mesh_id)
-    rep = gi.verify_inequalities(half, half, geom, S, ops)
+    rep = gi.verify_inequalities(half, half, S, ops)
     assert not rep["pass"]
     # the constant 1/2 is a genuine weak sub-solution here ...
     assert abs(rep["sub_weak_rows_max"] + 2.8125) < 1e-11
@@ -58,7 +58,7 @@ def test_make_subsolution_zero_extension():
     vals = np.zeros(mesh.num_vertices)
     vals[dom.interior_set] = 0.7
     local = ScalarField(vals, mesh.mesh_id)
-    sub = gi.make_subsolution(local, dom, mesh, ops, S)
+    sub = gi.make_subsolution(local, dom, ops, S)
     assert np.array_equal(sub.values[dom.interior_set], vals[dom.interior_set])
     assert np.all(sub.values[dom.frontier_set] == 0.0)
     assert np.all(sub.values[~dom.mask(mesh.num_vertices)] == 0.0)
@@ -71,14 +71,14 @@ def test_make_subsolution_rejects_negative():
     vals = np.zeros(mesh.num_vertices)
     vals[dom.interior_set] = -1.0
     with pytest.raises(ValueError):
-        gi.make_subsolution(ScalarField(vals, mesh.mesh_id), dom, mesh, ops, S)
+        gi.make_subsolution(ScalarField(vals, mesh.mesh_id), dom, ops, S)
 
 
 def test_scale_eigenfunction_rows_positive():
     mesh, geom, ops, S = _sphere_setup()
     eig = operators.first_eigenpair(ops, mass="lumped",
                                     operator="conformal-lumped")
-    theta, phi_s = gi.scale_eigenfunction(eig, S, CST, ops)
+    theta, phi_s = gi.scale_eigenfunction(eig, S, ops)
     assert theta > 0 and np.log2(theta) == int(np.log2(theta))  # dyadic
     rows = gi._lumped_rows(ops, phi_s.values, S.values)
     assert rows.min() > 0
@@ -89,10 +89,9 @@ def test_glue_supersolution_shortcut_branch():
     dom = _cap_domain(mesh)
     eig = operators.first_eigenpair(ops, mass="lumped",
                                     operator="conformal-lumped")
-    _, phi_s = gi.scale_eigenfunction(eig, S, CST, ops)
+    _, phi_s = gi.scale_eigenfunction(eig, S, ops)
     u1 = ScalarField(0.3 * phi_s.values, mesh.mesh_id)
-    up = gi.glue_supersolution(u1, phi_s, dom, geom, gi.GluingConfig(), ops,
-                               S, mesh)
+    up = gi.glue_supersolution(u1, phi_s, dom, gi.GluingConfig(), ops, S)
     assert up.metadata["branch"] == "eigenfunction-dominates"
     assert gi._strong_residual(ops, up.values, S.values).min() >= -1e-10
     assert np.all(up.values >= u1.values)
@@ -103,10 +102,9 @@ def test_glue_supersolution_blend_branch():
     dom = _cap_domain(mesh)
     eig = operators.first_eigenpair(ops, mass="lumped",
                                     operator="conformal-lumped")
-    _, phi_s = gi.scale_eigenfunction(eig, S, CST, ops)
+    _, phi_s = gi.scale_eigenfunction(eig, S, ops)
     u1 = ScalarField(np.full(mesh.num_vertices, 0.9), mesh.mesh_id)
-    up = gi.glue_supersolution(u1, phi_s, dom, geom, gi.GluingConfig(), ops,
-                               S, mesh)
+    up = gi.glue_supersolution(u1, phi_s, dom, gi.GluingConfig(), ops, S)
     assert up.metadata["branch"] == "blend-newton"
     assert gi._strong_residual(ops, up.values, S.values).min() >= -1e-10
     assert np.all(up.values >= u1.values)
@@ -116,19 +114,25 @@ def test_glue_supersolution_blend_branch():
 def test_gluing_config_validation():
     with pytest.raises(ValueError):
         gi.GluingConfig(gamma=-1.0).validated()
-    with pytest.raises(ValueError):
-        gi.GluingConfig(theta=0.0).validated()
 
 
 def test_monotone_iterate_trivial_fixed_point():
     mesh, geom, ops, S = _sphere_setup()
     one = ScalarField(np.ones(mesh.num_vertices), mesh.mesh_id)
-    u, state = gi.monotone_iterate(one, one, geom, S, ops, "closed")
+    u, state = gi.monotone_iterate(one, one, S, ops)
     assert np.abs(u.values - 1.0).max() < 1e-10
     assert state.bracket_violations == 0
     # stated shift at s = 1: (p-1) S - R = 5*6 - 6 = 24
     assert abs(state.metadata["shift_stated"] - 24.0) < 1e-12
     assert state.shift_k >= state.metadata["shift_stated"]
+    # Robin conditions: S is the lumped rows of u = 1 over the lumped mass,
+    # so u = 1 is an exact fixed point of the Robin iteration
+    ops = assembled("ball-negR", 1, "robin")
+    one = ScalarField(np.ones(ops.num_vertices), ops.mesh.mesh_id)
+    S = ScalarField(gi._lumped_rows(ops, one.values, 0.0) / ops.mass_lumped, ops.mesh.mesh_id)
+    u, state = gi.monotone_iterate(one, one, S, ops)
+    assert np.abs(u.values - 1.0).max() < 1e-10
+    assert state.bracket_violations == 0
 
 
 def test_monotone_iterate_rejects_unordered_bracket():
@@ -136,7 +140,7 @@ def test_monotone_iterate_rejects_unordered_bracket():
     one = ScalarField(np.ones(mesh.num_vertices), mesh.mesh_id)
     half = ScalarField(np.full(mesh.num_vertices, 0.5), mesh.mesh_id)
     with pytest.raises((gi.PipelineError, ValueError)):
-        gi.monotone_iterate(one, half, geom, S, ops, "closed")
+        gi.monotone_iterate(one, half, S, ops)
 
 
 def test_negative_scalar_normalization_branches():
