@@ -501,13 +501,16 @@ def _preset(cfg: RunConfig):
     return mesh, geom
 
 
-def run(config: RunConfig) -> int:
-    """Run the full pipeline for one config; write report and plot data."""
+def run(config: RunConfig, preset=None) -> int:
+    """Run the full pipeline for one config; write report and plot data.
+
+    ``preset`` is the config's ``(mesh, geom)`` when the caller built it.
+    """
     config = config.validated()
     outdir = _output_dir(config.output_dir)
 
     try:
-        mesh, geom = _preset(config)
+        mesh, geom = preset or _preset(config)
         S = build_target_field(mesh, geom, config.S_spec)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -545,8 +548,9 @@ def bench(config_paths, outdir=None) -> int:
         try:
             cfg = config_from_sections(parse_config_text(Path(path).read_text()))
             cfg.output_dir = str(outdir / label)
-            nverts = _preset(cfg)[0].num_vertices
-            code = run(cfg)
+            preset = _preset(cfg)
+            nverts = preset[0].num_vertices
+            code = run(cfg, preset)
             status = "ok" if code == EXIT_OK else f"exit-{code}"
         except (ConfigError, OSError) as err:
             nverts, status, result = 0, f"error: {err}", EXIT_CONFIG

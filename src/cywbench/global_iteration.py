@@ -125,6 +125,25 @@ def _lumped_jacobian(ops: AssembledOperators, u: np.ndarray, S: np.ndarray):
     return (ops.constants.a * ops.stiffness + diags(d)).tocsc()
 
 
+def _factor(ops: AssembledOperators, A):
+    """Solve with ``A`` factored in the operators' cached symmetric order.
+
+    ``A`` has the stiffness pattern plus the diagonal.  It is permuted
+    symmetrically into ``ops.symmetric_order()`` and factored there with no
+    further column ordering; the returned solve takes and gives vectors in
+    vertex numbering.
+    """
+    q = ops.symmetric_order()
+    lu = splu(A[q][:, q].tocsc(), permc_spec="NATURAL")
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[q] = lu.solve(b[q])
+        return x
+
+    return solve
+
+
 def _strong_residual(ops: AssembledOperators, u: np.ndarray, S: np.ndarray):
     return _lumped_rows(ops, u, S) / ops.mass_lumped
 
@@ -310,7 +329,7 @@ def glue_supersolution(
         return r, dual_norm(r, mL)
 
     def newton_step(u, r):
-        return splu(_lumped_jacobian(ops, u, Sv)).solve(-r)
+        return _factor(ops, _lumped_jacobian(ops, u, Sv))(-r)
 
     def mollified(f):
         return _geometry.mollify(ScalarField(f, mesh.mesh_id), mesh, config.mollifier_width).values
@@ -371,10 +390,11 @@ def glue_supersolution(
         else:
             phi *= 0.5
             phi_scale *= 0.5
+    coords = ", ".join(repr(float(c)) for c in mesh.vertices[worst[0]])
     raise PipelineError(
         "glue_supersolution",
-        f"auto-tune exhausted; worst vertex {worst[0]} with strong-residual "
-        f"margin {worst[1]:.3e}; attempts: "
+        f"auto-tune exhausted; worst vertex {worst[0]} at ({coords}) with "
+        f"strong-residual margin {worst[1]:.3e}; attempts: "
         + "; ".join(f"[{k}] {a}" for k, a in enumerate(attempts)),
     )
 
@@ -461,7 +481,7 @@ def monotone_iterate(
 
     for k_round in range(2):
         A = ops.add_robin(cst.a * ops.stiffness + diags(mL * (Rv + k)), lumped=True)
-        lu = splu(A.tocsc())
+        solve = _factor(ops, A)
         u = um.copy()
         iterates = [ScalarField(u.copy(), u_minus.mesh_id)]
         residuals = [float(np.abs(_strong_residual(ops, u, Sv)).max())]
@@ -469,7 +489,7 @@ def monotone_iterate(
         ok = True
         for _ in range(500):
             rhs = mL * (Sv * np.abs(u) ** (p - 2.0) * u + k * u)
-            u_next = lu.solve(rhs)
+            u_next = solve(rhs)
             if (u_next < u - 1e-12).any() or (u_next > up + 1e-12).any():
                 violations += 1
                 ok = False
@@ -513,9 +533,7 @@ def monotone_iterate(
 # ---------------------------------------------------------------------------
 
 
-def negative_scalar_normalization(
-    geom: GeometrySpec, P: int, ops: AssembledOperators
-) -> ScalarField:
+def negative_scalar_normalization(P: int, ops: AssembledOperators) -> ScalarField:
     """Positive conformal factor making the curvature negative at vertex P.
 
     A small dimple at P (v = 1 - s * hat_P) makes the recomputed curvature
@@ -523,9 +541,9 @@ def negative_scalar_normalization(
     vertex star, so boundary data and remote signs are untouched.  s is
     grown geometrically against the conformal_change recheck oracle.
     """
+    geom, mesh = ops.geom, ops.mesh
     n = ops.num_vertices
     Rv = geom.scalar_curvature.values
-    mesh = ops.mesh
     if Rv[P] < 0:
         return ScalarField(np.ones(n), mesh.mesh_id, {"branch": "already-negative"})
     eta = _operators.first_eigenpair(ops).eigenvalue
@@ -570,9 +588,7 @@ def negative_scalar_normalization(
     )
 
 
-def positive_mean_curvature_normalization(
-    geom: GeometrySpec, ops: AssembledOperators
-) -> ScalarField:
+def positive_mean_curvature_normalization(ops: AssembledOperators) -> ScalarField:
     """Positive factor v = 1 + t*w with recomputed boundary mean curvature > 0.
 
     w solves the discrete Robin problem (aK + M_R + M_h) w = a M_b f with a
@@ -584,7 +600,7 @@ def positive_mean_curvature_normalization(
         raise ValueError("robin mode required")
     mesh = ops.mesh
     n = ops.num_vertices
-    hv = geom.mean_curvature.values
+    hv = ops.geom.mean_curvature.values
     bnd = mesh.vertex_flags
     if hv[bnd].min() > 0:
         return ScalarField(np.ones(n), mesh.mesh_id, {"branch": "already-positive"})
@@ -765,7 +781,7 @@ def prescribe(
     work_ops = ops
     factors = []
     if bc_mode == "robin":
-        v_h = positive_mean_curvature_normalization(work_geom, work_ops)
+        v_h = positive_mean_curvature_normalization(work_ops)
         if v_h.metadata.get("branch") != "already-positive":
             work_geom = _operators.conformal_change(
                 work_geom,
@@ -783,7 +799,7 @@ def prescribe(
     Rdom = work_geom.scalar_curvature.values[domain.vertex_set]
     if Rdom.max() >= 0 and route in ("scenario-a-sphere", "not-lcf-in-O"):
         center = domain.interior_set[0]
-        v_neg = negative_scalar_normalization(work_geom, int(center), work_ops)
+        v_neg = negative_scalar_normalization(int(center), work_ops)
         if v_neg.metadata.get("branch") != "already-negative":
             work_geom = _operators.conformal_change(work_geom, v_neg, work_ops)
             work_ops = _operators.assemble(mesh, work_geom, cst, bc_mode=bc_mode)

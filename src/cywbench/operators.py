@@ -11,6 +11,12 @@ Conventions
   under ``bc_mode='robin'`` only.  It adds the term last, so every form
   keeps one order of operations.  ``apply_conformal_laplacian_vec`` stays
   Robin-free, because ``conformal_change`` removes the boundary flux itself.
+* ``AssembledOperators.symmetric_order`` is a minimum-degree elimination
+  order of the stiffness pattern (SuperLU's ``MMD_AT_PLUS_A``), computed on
+  first use and cached as an index array.  The global stage factors its
+  gluing Jacobians and iteration matrices in it
+  (``global_iteration._factor``), because those matrices have the stiffness
+  pattern plus the diagonal.
 * Lumped diagonals are kept alongside: pointwise field operators use the
   lumped pair (diagonal inverse), spectra and quotients use the consistent
   matrices.  The L^p norm is always the order-2 quadrature of the P1
@@ -32,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 from scipy import io as scipy_io
-from scipy.sparse import coo_matrix, csr_matrix, diags
+from scipy.sparse import coo_matrix, csr_matrix, diags, identity
 from scipy.sparse.linalg import eigsh, splu
 
 from . import _kernels
@@ -108,6 +114,7 @@ class AssembledOperators:
     boundary_mass_lumped: Optional[np.ndarray]
 
     _free_quadratures: dict = field(default_factory=dict, init=False, repr=False)
+    _symmetric_order: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     # ---- structure -------------------------------------------------------
 
@@ -181,6 +188,18 @@ class AssembledOperators:
         if key not in self._free_quadratures:
             self._free_quadratures[key] = FreeQuadrature(self, free)
         return self._free_quadratures[key]
+
+    def symmetric_order(self) -> np.ndarray:
+        """Minimum-degree elimination order of the stiffness pattern, built once.
+
+        Entry j is the vertex eliminated j-th when K + I is factored in the
+        order ``_symmetric_lu`` chooses; it fits every matrix with the
+        stiffness pattern plus the diagonal.
+        """
+        if self._symmetric_order is None:
+            lu = _symmetric_lu(self.stiffness + identity(self.num_vertices))
+            self._symmetric_order = np.argsort(lu.perm_c)
+        return self._symmetric_order
 
     # ---- pointwise operators ----------------------------------------------
 
@@ -468,6 +487,12 @@ def _pencil(ops: AssembledOperators, mass: str, operator: str):
     return L, M, free
 
 
+def _symmetric_lu(A: csr_matrix):
+    """SuperLU of symmetric ``A`` with diagonal pivots, in the MMD order of A + A^T."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
 def _positive_definite(A: csr_matrix) -> bool:
     """Whether symmetric ``A`` is positive definite, by its LU pivots.
 
@@ -475,8 +500,7 @@ def _positive_definite(A: csr_matrix) -> bool:
     of inertia the signs of the pivots are those of A's eigenvalues.
     """
     try:
-        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        lu = _symmetric_lu(A)
     except RuntimeError:
         return False
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0)

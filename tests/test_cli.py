@@ -173,6 +173,24 @@ def test_bench_empty_and_matrix(tmp_path):
     assert all(r[2] == "ok" for r in rows[1:])
 
 
+def test_bench_builds_each_preset_once(tmp_path, monkeypatch):
+    from cywbench import geometry
+
+    calls = []
+    build = geometry.build_preset
+
+    def counted(preset_id, refinement):
+        calls.append((preset_id, refinement))
+        return build(preset_id, refinement)
+
+    monkeypatch.setattr(geometry, "build_preset", counted)
+    path = tmp_path / "one.cfg"
+    path.write_text("[run]\npreset = round-s3\nrefinement = 1\n"
+                    "[S]\nkind = constant\nlevel = 6.0\n")
+    assert cli.main(["bench", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert calls == [("round-s3", 1)]
+
+
 def test_console_entry_point():
     # the subprocess imports the same cywbench package as this test
     package_root = str(Path(cli.__file__).resolve().parents[1])

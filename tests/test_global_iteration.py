@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from cywbench import geometry, global_iteration as gi, operators
 from cywbench.geometry import ScalarField
 
-from conftest import assembled, preset
+from conftest import CST, assembled, preset
 
 
 def _sphere_setup():
@@ -135,6 +136,57 @@ def test_monotone_iterate_trivial_fixed_point():
     assert state.bracket_violations == 0
 
 
+def _gluing_jacobian(ops):
+    """A gluing Newton Jacobian and right-hand side at a smooth positive u."""
+    x = ops.mesh.vertices
+    u = 1.0 + 0.5 * np.sin(2.0 * np.pi * x[:, 0]) ** 2
+    S = 2.0 + np.sin(2.0 * np.pi * x[:, 1])
+    return gi._lumped_jacobian(ops, u, S), -gi._lumped_rows(ops, u, S)
+
+
+@pytest.mark.parametrize("preset_id,bc_mode", [("bump-t3", "closed"),
+                                               ("ball-negR", "robin")])
+def test_factor_matches_dense_solve_with_less_fill(preset_id, bc_mode, monkeypatch):
+    ops = assembled(preset_id, 1, bc_mode)
+    A, b = _gluing_jacobian(ops)
+    factors = []
+    splu = gi.splu
+
+    def recorded(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(gi, "splu", recorded)
+    x = gi._factor(ops, A)(b)
+    dense = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense)
+    # the cached minimum-degree order fills in less than COLAMD on A itself
+    (lu,) = factors
+    colamd = splu(A)
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+def test_symmetric_order_is_computed_once(monkeypatch):
+    mesh, geom = preset("bump-t3", 1)
+    ops = operators.assemble(mesh, geom, CST)
+    calls = []
+    splu = operators.splu
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "splu", counted)
+    A, b = _gluing_jacobian(ops)
+    first = gi._factor(ops, A)(b)
+    second = gi._factor(ops, A)(b)
+    assert calls == ["MMD_AT_PLUS_A"]
+    assert np.array_equal(first, second)
+    order = ops.symmetric_order()
+    assert order is ops.symmetric_order()
+    assert np.array_equal(np.sort(order), np.arange(ops.num_vertices))
+
+
 def test_monotone_iterate_rejects_unordered_bracket():
     mesh, geom, ops, S = _sphere_setup()
     one = ScalarField(np.ones(mesh.num_vertices), mesh.mesh_id)
@@ -146,7 +198,7 @@ def test_monotone_iterate_rejects_unordered_bracket():
 def test_negative_scalar_normalization_branches():
     mesh, geom = preset("ball-negR", 1)
     ops = assembled("ball-negR", 1)
-    out = gi.negative_scalar_normalization(geom, int(0), ops)
+    out = gi.negative_scalar_normalization(int(0), ops)
     assert out.metadata["branch"] == "already-negative"
     assert np.all(out.values == 1.0)
 
@@ -154,7 +206,7 @@ def test_negative_scalar_normalization_branches():
 def test_positive_mean_curvature_normalization_robin():
     mesh, geom = preset("ball-negR", 2)
     ops = assembled("ball-negR", 2, "robin")
-    out = gi.positive_mean_curvature_normalization(geom, ops)
+    out = gi.positive_mean_curvature_normalization(ops)
     assert out.values.min() > 0
     bnd = mesh.vertex_flags
     h_new = out.metadata.get("h_new_min")
@@ -251,12 +303,19 @@ def test_prescribe_tags_local_solve_failure(monkeypatch):
     assert isinstance(err.value.__cause__, RuntimeError)
 
 
-def test_glue_failure_lists_each_attempt():
+@functools.lru_cache(maxsize=None)
+def _bump_glue_failure():
+    """The mesh and the gluing failure of the criterion-07 target on bump-t3 r1."""
     mesh, geom, S = _bump_admissible_target(0.45)
     with pytest.raises(gi.PipelineError) as err:
         gi.prescribe(mesh, geom, S)
-    assert err.value.stage == "glue_supersolution"
-    message = str(err.value)
+    return mesh, err.value
+
+
+def test_glue_failure_lists_each_attempt():
+    _, err = _bump_glue_failure()
+    assert err.stage == "glue_supersolution"
+    message = str(err)
     attempts = message.split("attempts: ")[1].split("; ")
     assert len(attempts) == 9
     pattern = (r"\[(\d)\] gamma \S+ phi-scale \S+ Newton "
@@ -266,4 +325,13 @@ def test_glue_failure_lists_each_attempt():
         match = re.fullmatch(pattern, attempt)
         assert match and int(match.group(1)) == k, attempt
     assert "phi-scale 1 " in attempts[0] and "phi-scale 0.5 " in attempts[5]
-    assert err.value.report.verification["failure"] == message
+    assert err.report.verification["failure"] == message
+
+
+def test_glue_failure_names_worst_vertex_coordinates():
+    mesh, err = _bump_glue_failure()
+    match = re.search(r"worst vertex (\d+) at \(([^)]*)\) with strong-residual", str(err))
+    assert match, str(err)
+    k = int(match.group(1))
+    coords = [float(c) for c in match.group(2).split(", ")]
+    assert coords == mesh.vertices[k].tolist()

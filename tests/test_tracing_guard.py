@@ -39,3 +39,22 @@ def test_traced_targets_exist_and_are_restored():
     assert [span[0] for span in tracer.spans] == ["_kernels.local_load"]
     assert all(owner.__dict__[attr] is orig
                for (owner, attr), orig in zip(targets, before))
+
+
+def test_traced_global_factorizations():
+    from cywbench import geometry, global_iteration, operators
+    from cywbench.constants import DimensionConstants
+
+    tracing = _load_tracing()
+    mesh, geom = geometry.build_preset("round-s3", 1)
+    ops = operators.assemble(mesh, geom, DimensionConstants(3))
+    one = geometry.ScalarField(np.ones(mesh.num_vertices), mesh.mesh_id)
+    S = geometry.ScalarField(np.full(mesh.num_vertices, 6.0), mesh.mesh_id)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        global_iteration.monotone_iterate(one, one, S, ops)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("superlu.factor:global_iteration") == 1
+    assert "superlu.solve:global_iteration" in names
+    # the symmetric order is the operators' own factorization
+    assert names.count("superlu.factor:operators") == 1
