@@ -23,6 +23,10 @@ fields use a small arithmetic grammar over the coordinates ``x``, ``y``,
     atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 with functions ``sin``, ``cos``, ``exp``, ``abs`` and the constant ``pi``.
+Python's parser reads it with ``^`` as ``**`` (same precedence and
+associativity); a node whitelist admits exactly this grammar, so ``**``, unary
+``+``, non-decimal or non-ASCII literals and all other Python syntax are
+rejected.  Malformed or over-deep input is a configuration error (exit 2).
 
 Exit codes: 0 success, 2 configuration error, 3 obstruction refusal,
 4 gate failure, 5 iteration failure, 6 verification failure.  The
@@ -33,8 +37,11 @@ directory; all other parameters come from flags or config files.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
+import operator
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -86,131 +93,43 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# expression mini-grammar (recursive descent)
+# expression grammar (Python's parser behind a node whitelist)
 # ---------------------------------------------------------------------------
 
 _FUNCTIONS: dict = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
+_AXES = {"x": 0, "y": 1, "z": 2, "w": 3}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_DECIMAL = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"  # not 0x10, 1_0, 1j, True
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-*/^()":
-            tokens.append(("op", c))
-            i += 1
-        elif c.isdigit() or c == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or
-                             (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            try:
-                tokens.append(("num", float(text[i:j])))
-            except ValueError:
-                raise ConfigError(f"bad number at position {i}: {text[i:j]!r}")
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        else:
-            raise ConfigError(f"unexpected character {c!r} in expression")
-    tokens.append(("end", None))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ConfigError(f"expected {op!r}, found {val!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ConfigError(f"trailing input after expression: {self.peek()[1]!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.next()
-            rhs = self.term()
-            node = (lambda a, b: (lambda c: a(c) + b(c)) if op == "+"
-                    else (lambda c: a(c) - b(c)))(node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.next()
-            rhs = self.factor()
-            node = (lambda a, b: (lambda c: a(c) * b(c)) if op == "*"
-                    else (lambda c: a(c) / b(c)))(node, rhs)
-        return node
-
-    def factor(self):
-        # unary minus binds looser than '^': -x^2 == -(x^2)
-        if self.peek() == ("op", "-"):
-            self.next()
-            inner = self.factor()
-            return lambda c, a=inner: -a(c)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            expo = self.factor()  # right associative
-            return lambda c, a=base, b=expo: a(c) ** b(c)
-        return base
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            return lambda c, v=val: np.full(c.shape[0], v)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "name":
-            if val in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return lambda c, f=_FUNCTIONS[val], a=arg: f(a(c))
-            if val == "pi":
-                return lambda c: np.full(c.shape[0], np.pi)
-            axes = {"x": 0, "y": 1, "z": 2, "w": 3}
-            if val in axes:
-                k = axes[val]
-                def coord(c, k=k, name=val):
-                    if k >= c.shape[1]:
-                        raise ConfigError(
-                            f"coordinate {name!r} undefined on a "
-                            f"{c.shape[1]}-dimensional chart"
-                        )
-                    return c[:, k]
-                return coord
-            raise ConfigError(f"unknown identifier {val!r} in expression")
-        raise ConfigError(f"unexpected token {val!r} in expression")
+def _closure(node: ast.AST, source: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The vector function of one whitelisted node; anything else is refused."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        a, b = _closure(node.left, source), _closure(node.right, source)
+        return lambda c: op(a(c), b(c))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        a = _closure(node.operand, source)
+        return lambda c: -a(c)
+    if isinstance(node, ast.Constant):
+        literal = ast.get_source_segment(source, node)
+        if re.fullmatch(_DECIMAL, literal):
+            return lambda c, v=float(literal): np.full(c.shape[0], v)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return lambda c: np.full(c.shape[0], np.pi)
+    if isinstance(node, ast.Name) and node.id in _AXES:
+        def coord(c, k=_AXES[node.id], name=node.id):
+            if k >= c.shape[1]:
+                raise ConfigError(f"coordinate {name!r} undefined on a "
+                                  f"{c.shape[1]}-dimensional chart")
+            return c[:, k]
+        return coord
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
+        f, a = _FUNCTIONS[node.func.id], _closure(node.args[0], source)
+        return lambda c: f(a(c))
+    raise ConfigError(f"{ast.get_source_segment(source, node)[:40]!r} is not in the grammar")
 
 
 def parse_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -219,7 +138,14 @@ def parse_expression(text: str) -> Callable[[np.ndarray], np.ndarray]:
     The returned callable maps an ``(m, dim)`` coordinate array to ``m``
     values.
     """
-    return _Parser(_tokenize(text)).parse()
+    # '**' is not in the grammar; non-ASCII names would be NFKC-folded to x, y, ...
+    if "**" in text or not text.isascii():
+        raise ConfigError(f"expression {text[:40]!r} has '**' or non-ASCII text")
+    source = text.strip().replace("^", "**")
+    try:
+        return _closure(ast.parse(source, mode="eval").body, source)
+    except (SyntaxError, RecursionError, MemoryError) as err:
+        raise ConfigError(f"malformed or too deeply nested expression: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +337,11 @@ def build_target_field(mesh, geom, spec: dict) -> ScalarField:
         vals = _NAMED_SPHERE_FUNCTIONS[spec["name"]](mesh.vertices)
         return ScalarField(np.asarray(vals, dtype=np.float64), mesh.mesh_id)
     if kind == "admissible":
-        base_fn = parse_expression(spec["base"])
-        base = ScalarField(
-            np.asarray(base_fn(mesh.vertices), dtype=np.float64), mesh.mesh_id
-        )
+        try:
+            values = parse_expression(spec["base"])(mesh.vertices)
+        except RecursionError as err:
+            raise ConfigError("expression too deeply nested to evaluate") from err
+        base = ScalarField(np.asarray(values, dtype=np.float64), mesh.mesh_id)
         region = _parse_region(mesh, geom, spec["region"])
         width = spec.get("width", "auto")
         if width == "auto":
@@ -573,7 +500,7 @@ def _load_config(args) -> RunConfig:
         sections = parse_config_text(Path(args.config).read_text())
     cfg = config_from_sections(sections)
     for attr in ("preset", "refinement", "bc_mode", "output_dir"):
-        val = getattr(args, attr.replace("-", "_"), None)
+        val = getattr(args, attr, None)
         if val is not None:
             setattr(cfg, attr, val)
     if getattr(args, "constant_S", None) is not None:
@@ -679,10 +606,9 @@ def _cmd_check_obstructions(args) -> int:
     cfg = _load_config(args)
     mesh, geom = _preset(cfg)
     S = build_target_field(mesh, geom, cfg.S_spec)
-    u = _global.prescribe(mesh, geom, S, bc_mode=cfg.bc_mode).metadata["solution"]
-    ops = _operators.assemble(mesh, geom, DimensionConstants(3),
-                              bc_mode=cfg.bc_mode)
-    obs = _sphere.obstruction_report(S, u, geom.scalar_curvature, ops)
+    meta = _global.prescribe(mesh, geom, S, bc_mode=cfg.bc_mode).metadata
+    obs = _sphere.obstruction_report(S, meta["solution"], geom.scalar_curvature,
+                                     meta["operators"])
     outdir = _output_dir(cfg.output_dir)
     rows = [["kw", k, repr(v)] for k, v in sorted(obs.kw_values.items())]
     rows += [["be", k, repr(v)] for k, v in sorted(obs.be_values.items())]

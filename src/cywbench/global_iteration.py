@@ -730,7 +730,9 @@ def prescribe(
     """Full prescription pipeline: route, local solve, bracket, iterate, verify.
 
     Routing follows the preset flags; the sphere route demands a CONDITION A
-    pass and is refused with the obstruction verdict otherwise.
+    pass and is refused with the obstruction verdict otherwise.  A returned
+    report's metadata holds the ``solution`` and the ``operators`` assembled
+    for the input geometry.
     """
     config = config or GluingConfig()
     cst = DimensionConstants(3)
@@ -773,7 +775,8 @@ def prescribe(
             iteration=None,
             verification=verification,
             obstructions=obstructions,
-            metadata={"accepted": verification["min_u"] > 0, "solution": u},
+            metadata={"accepted": verification["min_u"] > 0, "solution": u,
+                      "operators": ops},
         )
 
     # --- general bracket pipeline -----------------------------------------
@@ -920,6 +923,7 @@ def prescribe(
             ),
             "normalization_factors": factors,
             "solution": u,
+            "operators": ops,
         },
     )
 

@@ -31,6 +31,7 @@ from cywbench import cli
     ("exp(0) + cos(0)", [0, 0, 0], 2.0),
     ("x - y - z", [5, 2, 1], 2.0),        # left-associative subtraction
     ("2 + sin(2*pi*x)", [0.25, 0, 0], 3.0),
+    (" x", [3, 0, 0], 3.0),
 ])
 def test_expression_values(text, point, expected):
     f = cli.parse_expression(text)
@@ -38,9 +39,15 @@ def test_expression_values(text, point, expected):
     assert abs(got - expected) < 1e-12
 
 
-@pytest.mark.parametrize("bad", [
+_MALFORMED = [
     "", "1 +", "foo(2)", "2 ** 3", "(1", "1 2", "x @ y", "nope",
-])
+    "+x", "0x10", "1_0", "1j", "True", "x % 2", "x // 2", "sin", "sin(x, y)",
+    "sin(x=1)", "pi(2)", "2(3)", "x < y", "x.real", "[x]", "lambda: 1",
+    "x if y else z", "__import__('os')",
+]
+
+
+@pytest.mark.parametrize("bad", _MALFORMED)
 def test_expression_rejects_malformed(bad):
     with pytest.raises(cli.ConfigError):
         cli.parse_expression(bad)
@@ -58,6 +65,213 @@ def test_expression_vectorized():
     f = cli.parse_expression("x + 2*y")
     pts = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]])
     assert np.allclose(f(pts), [5.0, 11.0])
+
+
+# ---------------------------------------------------------------------------
+# oracle: the tokenizer and recursive-descent parser that the whitelist over
+# Python's parser replaced; accepted input must evaluate bitwise alike
+# ---------------------------------------------------------------------------
+
+ConfigError, _FUNCTIONS = cli.ConfigError, cli._FUNCTIONS
+
+
+def _tokenize(text: str):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "+-*/^()":
+            tokens.append(("op", c))
+            i += 1
+        elif c.isdigit() or c == ".":
+            j = i
+            while j < n and (text[j].isdigit() or text[j] in ".eE" or
+                             (text[j] in "+-" and text[j - 1] in "eE")):
+                j += 1
+            try:
+                tokens.append(("num", float(text[i:j])))
+            except ValueError:
+                raise ConfigError(f"bad number at position {i}: {text[i:j]!r}")
+            i = j
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j]))
+            i = j
+        else:
+            raise ConfigError(f"unexpected character {c!r} in expression")
+    tokens.append(("end", None))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, val = self.next()
+        if kind != "op" or val != op:
+            raise ConfigError(f"expected {op!r}, found {val!r}")
+
+    def parse(self):
+        node = self.expr()
+        if self.peek()[0] != "end":
+            raise ConfigError(f"trailing input after expression: {self.peek()[1]!r}")
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
+            _, op = self.next()
+            rhs = self.term()
+            node = (lambda a, b: (lambda c: a(c) + b(c)) if op == "+"
+                    else (lambda c: a(c) - b(c)))(node, rhs)
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
+            _, op = self.next()
+            rhs = self.factor()
+            node = (lambda a, b: (lambda c: a(c) * b(c)) if op == "*"
+                    else (lambda c: a(c) / b(c)))(node, rhs)
+        return node
+
+    def factor(self):
+        # unary minus binds looser than '^': -x^2 == -(x^2)
+        if self.peek() == ("op", "-"):
+            self.next()
+            inner = self.factor()
+            return lambda c, a=inner: -a(c)
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek() == ("op", "^"):
+            self.next()
+            expo = self.factor()  # right associative
+            return lambda c, a=base, b=expo: a(c) ** b(c)
+        return base
+
+    def atom(self):
+        kind, val = self.next()
+        if kind == "num":
+            return lambda c, v=val: np.full(c.shape[0], v)
+        if kind == "op" and val == "(":
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        if kind == "name":
+            if val in _FUNCTIONS:
+                self.expect_op("(")
+                arg = self.expr()
+                self.expect_op(")")
+                return lambda c, f=_FUNCTIONS[val], a=arg: f(a(c))
+            if val == "pi":
+                return lambda c: np.full(c.shape[0], np.pi)
+            axes = {"x": 0, "y": 1, "z": 2, "w": 3}
+            if val in axes:
+                k = axes[val]
+                def coord(c, k=k, name=val):
+                    if k >= c.shape[1]:
+                        raise ConfigError(
+                            f"coordinate {name!r} undefined on a "
+                            f"{c.shape[1]}-dimensional chart"
+                        )
+                    return c[:, k]
+                return coord
+            raise ConfigError(f"unknown identifier {val!r} in expression")
+        raise ConfigError(f"unexpected token {val!r} in expression")
+
+
+_POINTS = [
+    np.array([[0.0, 0.0, 0.0], [0.25, -1.5, 2.0], [3.0, 0.5, -0.75], [-2.0, 1e-3, 7.5]]),
+    np.array([[0.0, 0.0, 0.0, 0.0], [0.25, -1.5, 2.0, -0.5], [3.0, 0.5, -0.75, 1.25]]),
+]
+
+_ACCEPTED_CORPUS = [
+    "1 + 2*3", "(1 + 2)*3", "2^3^2", "-x^2", "-2^2", "--x", "x--y", "x*-y",
+    "x^-2", "-x^-y", "2^-x^2", "sin(pi/2)", "abs(-4)/2", "exp(0) + cos(0)",
+    "x - y - z", "x/y/z", "2 + sin(2*pi*x)", "sin(cos(exp(abs(x))))",
+    "exp(-x^2 - y^2)", "1/0", "0/0", "(-x)^0.5", "((x))", "\tx", " x ",
+    "1e3", ".5", "5.", "2.5E-2", "1.e+2", "1e400", "99999999999999999999",
+    "00", "w + x",
+]
+
+_NUMBER = st.from_regex(r"(0|[1-9][0-9]{0,2})(\.[0-9]{0,3})?([eE][+-]?[0-9])?|\.[0-9]{1,3}",
+                        fullmatch=True)
+_GRAMMAR = st.recursive(
+    st.one_of(_NUMBER, st.sampled_from(["x", "y", "z", "pi"])),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^", " + ", " ^ "]),
+                  inner).map("".join),
+        inner.map(lambda e: "-" + e),
+        st.tuples(st.sampled_from(sorted(_FUNCTIONS)), inner).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        inner.map(lambda e: f"({e})"),
+    ),
+    max_leaves=12,
+)
+
+
+def _values(f, points):
+    """``f(points)``, or None where the chart lacks a coordinate."""
+    try:
+        with np.errstate(all="ignore"):
+            return f(points)
+    except cli.ConfigError:
+        return None
+
+
+def _assert_matches_oracle(text):
+    new, old = cli.parse_expression(text), _Parser(_tokenize(text)).parse()
+    for points in _POINTS:
+        a, b = _values(new, points), _values(old, points)
+        assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), text
+
+
+@pytest.mark.parametrize("text", _ACCEPTED_CORPUS)
+def test_expression_matches_oracle_on_corpus(text):
+    _assert_matches_oracle(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_GRAMMAR)
+def test_expression_matches_oracle_on_grammar(text):
+    _assert_matches_oracle(text)
+
+
+@pytest.mark.parametrize("bad", _MALFORMED + [
+    "sin()", "x^", "^x", "2^^3", "()", "1e", "1..2", "x $ y", "x, y", "\uff58", "1\x00",
+])
+def test_expression_rejects_like_oracle(bad):
+    with pytest.raises(cli.ConfigError):
+        _Parser(_tokenize(bad)).parse()
+    with pytest.raises(cli.ConfigError):
+        cli.parse_expression(bad)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("007", 7.0), ("\u0663", 3.0), ("\u00a0x", 0.25), ("1 +\n2", 3.0),
+])
+def test_expression_rejects_what_oracle_accepted(text, expected):
+    """Leading-zero integers, non-ASCII digits, non-ASCII whitespace and line
+    breaks outside parentheses are no longer part of an expression."""
+    assert _Parser(_tokenize(text)).parse()(np.array([[0.25, 0.0, 0.0]]))[0] == expected
+    with pytest.raises(cli.ConfigError):
+        cli.parse_expression(text)
 
 
 # ---------------------------------------------------------------------------
@@ -225,3 +439,44 @@ def test_prescribe_empty_local_domain_exit_two(tmp_path):
     code = cli.main(["prescribe", "--config", str(cfg), "--output-dir",
                      str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
+
+
+def _admissible_cfg(tmp_path, base):
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("[run]\npreset = bump-t3\nrefinement = 0\n"
+                   f"[S]\nkind = admissible\nbase = {base}\n")
+    return ["prescribe", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("base", [
+    "(" * 3000 + "1" + ")" * 3000,
+    "+".join(["1"] * 5000),
+    "-" * 5000 + "1",
+], ids=["parens-3000", "sum-5000", "minus-5000"])
+def test_deep_expression_exit_two(base, tmp_path):
+    assert cli.main(_admissible_cfg(tmp_path, base)) == cli.EXIT_CONFIG
+
+
+def test_expression_too_deep_to_evaluate_exit_two(tmp_path, monkeypatch):
+    def runaway(points):
+        return runaway(points)
+
+    monkeypatch.setattr(cli, "parse_expression", lambda text: runaway)
+    assert cli.main(_admissible_cfg(tmp_path, "x")) == cli.EXIT_CONFIG
+
+
+def test_check_obstructions_assembles_once(tmp_path, monkeypatch):
+    from cywbench import operators
+
+    calls = []
+    assemble = operators.assemble
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("bc_mode"))
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "assemble", counted)
+    code = cli.main(["check", "obstructions", "--preset", "round-s3", "--refinement",
+                     "1", "--constant-S", "6", "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert calls == ["closed"]
