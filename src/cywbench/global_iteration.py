@@ -15,10 +15,11 @@ A fixed point of the monotone iteration makes the recomputed curvature
 u^{1-p} (a K u + m R u)/m equal S exactly, which is what the verification
 step measures.  Sub-solutions are exact zero extensions of local solutions,
 verified in the assembled (consistent) weak form against the nonnegative
-nodal test cone; super-solution candidates are gluings of the local solution
-with the scaled first eigenfunction, root-found on the lumped rows by
-``operators.damped_newton`` and verified pointwise in the lumped strong
-form.
+nodal test cone.  The super-solution is one gluing of the local solution
+with the scaled first eigenfunction, root-found once on the lumped rows by
+``operators.damped_newton`` and checked pointwise in the lumped strong form;
+a failed gluing names a per-vertex bound that rules out every dominating
+candidate, where one holds.
 """
 
 from __future__ import annotations
@@ -292,18 +293,16 @@ def glue_supersolution(
 
     When theta*phi already dominates the local solution it is returned
     unchanged.  Otherwise the transition-cutoff blend of the two envelopes
-    initializes ``operators.damped_newton`` on the lumped rows; the converged
-    root is shifted by a tiny positive constant, which makes every row
-    strictly positive up to 1e-10 slack.  On validation failure gamma is
-    halved, then theta, for at most 8 rounds; the final ``PipelineError``
-    lists each attempt's gamma, phi scale, Newton status, steps and relative
-    residual.
+    initializes one ``operators.damped_newton`` on the lumped rows; the
+    converged root is shifted by a tiny positive constant, which makes every
+    row strictly positive up to 1e-10 slack, and checked once.  A failed
+    check raises a ``PipelineError`` naming the Newton status, the vertices
+    below an envelope, the worst vertex and the ``_dominance_bound``
+    certificate, which rules out every dominating candidate where it exists.
     """
     config.validated()
     mesh = ops.mesh
-    phi = phi_scaled.values.copy()
-    u1v = u1.values
-    Sv = S.values
+    phi, u1v, Sv = phi_scaled.values, u1.values, S.values
     gamma = config.gamma
     config.mollifier_width = 2.5 * mesh.min_edge_length()
     # shrink gamma until both margin constraints hold against the recorded
@@ -322,6 +321,10 @@ def glue_supersolution(
             gamma *= 0.5
         config.gamma = gamma
 
+    if (phi >= u1v).all():
+        return ScalarField(
+            phi, mesh.mesh_id, {"branch": "eigenfunction-dominates", "theta_used": float(phi_scaled.metadata.get("theta", 0.0))}
+        )
     mL = ops.mass_lumped
 
     def rows_and_norm(u):
@@ -334,69 +337,64 @@ def glue_supersolution(
     def mollified(f):
         return _geometry.mollify(ScalarField(f, mesh.mesh_id), mesh, config.mollifier_width).values
 
-    worst = (None, 0.0)
-    phi_scale = 1.0
-    attempts = []
-    for attempt in range(9):
-        if (phi >= u1v).all():
-            return ScalarField(
-                phi, mesh.mesh_id, {"branch": "eigenfunction-dominates", "theta_used": float(phi_scaled.metadata.get("theta", 0.0))}
-            )
-        chi1 = _transition_cutoff(ops, u1v - phi - gamma, gamma, drift=True)
-        chi_top = _transition_cutoff(ops, u1v - phi, gamma, drift=False)
-        chi1 = np.clip(mollified(chi1), 0.0, 1.0)
-        chi_top = np.clip(np.maximum(mollified(chi_top), chi1), 0.0, 1.0)
-        chi2 = chi_top - chi1
-        chi3 = 1.0 - chi_top
-        blend = chi1 * u1v + chi2 * (phi + gamma) + chi3 * phi
-        init = np.maximum.reduce([blend, phi, u1v]) + gamma / 4.0
+    chi1 = _transition_cutoff(ops, u1v - phi - gamma, gamma, drift=True)
+    chi_top = _transition_cutoff(ops, u1v - phi, gamma, drift=False)
+    chi1 = np.clip(mollified(chi1), 0.0, 1.0)
+    chi_top = np.clip(np.maximum(mollified(chi_top), chi1), 0.0, 1.0)
+    chi2 = chi_top - chi1
+    chi3 = 1.0 - chi_top
+    blend = chi1 * u1v + chi2 * (phi + gamma) + chi3 * phi
+    init = np.maximum.reduce([blend, phi, u1v]) + gamma / 4.0
 
-        # the stopping scale stays that of the initial blend
-        scale = max(dual_norm(mL * Sv * np.abs(init) ** (ops.constants.p - 1.0), mL),
-                    dual_norm(ops.constants.a * (ops.stiffness @ init), mL), 1e-300)
-        res = damped_newton(init, rows_and_norm, newton_step,
-                            lambda u, r, rn: rn <= 1e-12 * scale, max_iter=80)
-        u_star, rel = res.x, res.norm / scale
-        attempts.append(f"gamma {gamma:.3e} phi-scale {phi_scale:g} Newton {res.status} "
-                        f"after {len(res.steps)} steps, relative residual {rel:.3e}")
-        shift = 1e-13 * float(np.abs(u_star).max())
-        u_plus = u_star + shift
-        rows = _strong_residual(ops, u_plus, Sv)
-        ok = (
-            rel <= 1e-10
-            and rows.min() >= -1e-10
-            and (u_plus >= u1v - 1e-12).all()
-            and (u_plus >= phi - 1e-12).all()
-            and u_plus.min() > 0
-        )
-        if ok:
-            config.gamma = gamma
-            return ScalarField(
-                u_plus,
-                mesh.mesh_id,
-                {
-                    "branch": "blend-newton",
-                    "gamma_used": gamma,
-                    "shift": shift,
-                    "newton_relative_residual": rel,
-                    "strong_residual_min": float(rows.min()),
-                },
-            )
-        k = int(np.argmin(rows))
-        if worst[0] is None or rows[k] < worst[1]:
-            worst = (k, float(rows[k]))
-        if attempt < 4:
-            gamma *= 0.5
-        else:
-            phi *= 0.5
-            phi_scale *= 0.5
-    coords = ", ".join(repr(float(c)) for c in mesh.vertices[worst[0]])
+    # the stopping scale stays that of the initial blend
+    scale = max(dual_norm(mL * Sv * np.abs(init) ** (ops.constants.p - 1.0), mL),
+                dual_norm(ops.constants.a * (ops.stiffness @ init), mL), 1e-300)
+    res = damped_newton(init, rows_and_norm, newton_step,
+                        lambda u, r, rn: rn <= 1e-12 * scale, max_iter=80)
+    u_star, rel = res.x, res.norm / scale
+    shift = 1e-13 * float(np.abs(u_star).max())
+    u_plus = u_star + shift
+    rows = _strong_residual(ops, u_plus, Sv)
+    below = int(((u_plus < u1v - 1e-12) | (u_plus < phi - 1e-12)).sum())
+    if rel <= 1e-10 and rows.min() >= -1e-10 and below == 0 and u_plus.min() > 0:
+        return ScalarField(u_plus, mesh.mesh_id, {
+            "branch": "blend-newton", "gamma_used": gamma, "shift": shift,
+            "newton_relative_residual": rel, "strong_residual_min": float(rows.min())})
+
+    def at(i):
+        return ", ".join(map(repr, mesh.vertices[i].tolist()))
+
+    k, cert = int(np.argmin(rows)), _dominance_bound(ops, u1v, domain, Sv)
     raise PipelineError(
         "glue_supersolution",
-        f"auto-tune exhausted; worst vertex {worst[0]} at ({coords}) with "
-        f"strong-residual margin {worst[1]:.3e}; attempts: "
-        + "; ".join(f"[{k}] {a}" for k, a in enumerate(attempts)),
+        f"Newton {res.status} after {len(res.steps)} steps, relative residual {rel:.3e}; "
+        f"vertices below an envelope: {below}; worst vertex {k} at ({at(k)}) with "
+        f"strong-residual margin {rows[k]:.3e}; " + (
+            "no per-vertex certificate" if cert is None else
+            f"certificate: vertex {cert[0]} at ({at(cert[0])}) has u_minus {float(u1v[cert[0]])!r} "
+            f">= s* {cert[1]!r}, so every dominating candidate has row <= bound {cert[2]!r}"),
     )
+
+
+def _dominance_bound(ops, u1, domain, S):
+    """(i, s*_i, b_i) at the interior vertex with the most negative b_i < -1e-10.
+
+    Where stiffness row i has no positive off-diagonal, S_i > 0 and u1_i -
+    1e-12 >= s*_i, every u >= max(u1 - 1e-12, 0) has strong row i at most b_i
+    = f_i(u1_i - 1e-12) / m_i, as f_i(s) = c_i s - m_i S_i s^{p-1} falls past s*_i.
+    """
+    K, m, p = ops.stiffness.tocoo(), ops.mass_lumped, ops.constants.p
+    z = np.bincount(K.row, (K.row != K.col) & (K.data > 0), ops.num_vertices) == 0
+    c = ops.add_robin(ops.constants.a * K.diagonal() + ops.curvature_mass_lumped, 1.0, lumped=True)
+    i = domain.interior_set[z[domain.interior_set] & (S[domain.interior_set] > 0)]
+    s_star = (np.maximum(c[i], 0.0) / ((p - 1.0) * m[i] * S[i])) ** (1.0 / (p - 2.0))
+    s = u1[i] - 1e-12
+    b = (c[i] * s - m[i] * S[i] * s ** (p - 1.0)) / m[i]
+    b = np.where(s >= s_star, b, np.inf)
+    if not (b < -1e-10).any():
+        return None
+    j = int(np.argmin(b))
+    return int(i[j]), float(s_star[j]), float(b[j])
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +460,11 @@ def monotone_iterate(
 
     The shift k is the maximum over vertices, over s in [min u_-, max u_+],
     of d/ds (S s^{p-1} - R s): for S_i >= 0 the inner maximum sits at the top
-    of the interval, for S_i < 0 at the bottom.  This makes the iteration
-    matrix an M-matrix and the update map order-preserving on the bracket.
-    One automatic doubling of k is attempted on a bracket violation beyond
-    the 1e-12 slack.
+    of the interval, for S_i < 0 at the bottom.  Only where the stiffness has
+    no positive off-diagonal entry, recorded as ``metadata["z_matrix"]``, does
+    this make the iteration matrix an M-matrix and the update map
+    order-preserving on the bracket.  One automatic doubling of k is attempted
+    on a bracket violation beyond the 1e-12 slack.
     """
     um, up = u_minus.values, u_plus.values
     Sv = S.values
@@ -511,6 +510,7 @@ def monotone_iterate(
         metadata={
             "shift_stated": k_stated,
             "k_doublings": k_round,
+            "z_matrix": bool((A - diags(A.diagonal())).max() <= 0),
         },
     )
     if not ok:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import functools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cywbench import geometry, global_iteration as gi, operators
 from cywbench.geometry import ScalarField
@@ -110,6 +113,8 @@ def test_glue_supersolution_blend_branch():
     assert gi._strong_residual(ops, up.values, S.values).min() >= -1e-10
     assert np.all(up.values >= u1.values)
     assert np.all(up.values >= phi_s.values)
+    # where the gluing succeeds no vertex is certified
+    assert gi._dominance_bound(ops, u1.values, dom, S.values) is None
 
 
 def test_gluing_config_validation():
@@ -126,14 +131,19 @@ def test_monotone_iterate_trivial_fixed_point():
     # stated shift at s = 1: (p-1) S - R = 5*6 - 6 = 24
     assert abs(state.metadata["shift_stated"] - 24.0) < 1e-12
     assert state.shift_k >= state.metadata["shift_stated"]
-    # Robin conditions: S is the lumped rows of u = 1 over the lumped mass,
-    # so u = 1 is an exact fixed point of the Robin iteration
-    ops = assembled("ball-negR", 1, "robin")
-    one = ScalarField(np.ones(ops.num_vertices), ops.mesh.mesh_id)
-    S = ScalarField(gi._lumped_rows(ops, one.values, 0.0) / ops.mass_lumped, ops.mesh.mesh_id)
-    u, state = gi.monotone_iterate(one, one, S, ops)
-    assert np.abs(u.values - 1.0).max() < 1e-10
-    assert state.bracket_violations == 0
+    # the round-s3 stiffness has positive off-diagonal entries
+    assert state.metadata["z_matrix"] is False
+    # S is the lumped rows of u = 1 over the lumped mass, so u = 1 is an
+    # exact fixed point: under Robin conditions on ball-negR (not a
+    # Z-matrix) and on bump-t3 (a Z-matrix)
+    for args, z_matrix in ((("ball-negR", 1, "robin"), False), (("bump-t3", 1), True)):
+        ops = assembled(*args)
+        one = ScalarField(np.ones(ops.num_vertices), ops.mesh.mesh_id)
+        S = ScalarField(gi._lumped_rows(ops, one.values, 0.0) / ops.mass_lumped, ops.mesh.mesh_id)
+        u, state = gi.monotone_iterate(one, one, S, ops)
+        assert np.abs(u.values - 1.0).max() < 1e-10
+        assert state.bracket_violations == 0
+        assert state.metadata["z_matrix"] is z_matrix
 
 
 def _gluing_jacobian(ops):
@@ -305,31 +315,52 @@ def test_prescribe_tags_local_solve_failure(monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def _bump_glue_failure():
-    """The mesh and the gluing failure of the criterion-07 target on bump-t3 r1."""
+    """Mesh, gluing failure and gluing inputs of the criterion-07 target on bump-t3 r1."""
     mesh, geom, S = _bump_admissible_target(0.45)
-    with pytest.raises(gi.PipelineError) as err:
+    glue, inputs = gi.glue_supersolution, []
+
+    def capture(*args):
+        inputs.append(args)
+        return glue(*args)
+
+    with mock.patch.object(gi, "glue_supersolution", capture), \
+            pytest.raises(gi.PipelineError) as err:
         gi.prescribe(mesh, geom, S)
-    return mesh, err.value
+    return mesh, err.value, inputs[0]
 
 
-def test_glue_failure_lists_each_attempt():
-    _, err = _bump_glue_failure()
+def test_glue_failure_carries_certificate():
+    _, err, _ = _bump_glue_failure()
     assert err.stage == "glue_supersolution"
     message = str(err)
-    attempts = message.split("attempts: ")[1].split("; ")
-    assert len(attempts) == 9
-    pattern = (r"\[(\d)\] gamma \S+ phi-scale \S+ Newton "
-               r"(converged|stalled|singular|max-iter) after \d+ steps, "
-               r"relative residual \S+")
-    for k, attempt in enumerate(attempts):
-        match = re.fullmatch(pattern, attempt)
-        assert match and int(match.group(1)) == k, attempt
-    assert "phi-scale 1 " in attempts[0] and "phi-scale 0.5 " in attempts[5]
+    assert re.search(r"Newton (converged|stalled|singular|max-iter) after \d+ steps", message)
+    match = re.search(r"certificate: vertex (\d+) at \(([^)]*)\) has u_minus (\S+) >= s\* (\S+), "
+                      r"so every dominating candidate has row <= bound (\S+)$", message)
+    assert match, message
+    assert int(match.group(1)) == 292 and match.group(2) == "0.5, 0.5, 0.5"
+    u_minus, s_star, bound = map(float, match.group(3, 4, 5))
+    assert u_minus >= s_star and bound < -1e-10
     assert err.report.verification["failure"] == message
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 1e3),
+       density=st.floats(0.0, 1.0), pin=st.booleans())
+def test_dominance_bound_caps_every_dominating_row(seed, scale, density, pin):
+    # u = u_minus + w with w >= 0 dominates the sub-solution; its strong row
+    # at the certified vertex cannot exceed the bound, whatever w is
+    _, _, (u1, _, domain, _, ops, S) = _bump_glue_failure()
+    j, _, bound = gi._dominance_bound(ops, u1.values, domain, S.values)
+    u_minus = gi.make_subsolution(u1, domain, ops, S).values
+    rng = np.random.default_rng(seed)
+    w = scale * rng.random(ops.num_vertices) * (rng.random(ops.num_vertices) < density)
+    if pin:
+        w[j] = 0.0
+    assert gi._strong_residual(ops, u_minus + w, S.values)[j] <= bound + 1e-9 * abs(bound)
+
+
 def test_glue_failure_names_worst_vertex_coordinates():
-    mesh, err = _bump_glue_failure()
+    mesh, err, _ = _bump_glue_failure()
     match = re.search(r"worst vertex (\d+) at \(([^)]*)\) with strong-residual", str(err))
     assert match, str(err)
     k = int(match.group(1))
