@@ -257,7 +257,7 @@ def config_from_sections(sections: dict) -> RunConfig:
             "level": _float(s_sec, "level", 1.0),
             "width": s_sec.get("width", "auto"),
         }
-        parse_expression(spec["base"])  # validate eagerly
+        spec["base_fn"] = parse_expression(spec["base"])  # validated and compiled once
         cfg.S_spec = spec
     elif kind == "named":
         name = s_sec.get("name", "one")
@@ -327,7 +327,11 @@ def _parse_region(mesh, geom, region_spec: str):
 
 
 def build_target_field(mesh, geom, spec: dict) -> ScalarField:
-    """Materialize the target curvature field described by an S_spec."""
+    """Materialize the target curvature field described by an S_spec.
+
+    An admissible spec carries its ``base`` expression compiled as
+    ``base_fn``, as ``config_from_sections`` builds it.
+    """
     kind = spec["kind"]
     if kind == "constant":
         return ScalarField(
@@ -338,7 +342,7 @@ def build_target_field(mesh, geom, spec: dict) -> ScalarField:
         return ScalarField(np.asarray(vals, dtype=np.float64), mesh.mesh_id)
     if kind == "admissible":
         try:
-            values = parse_expression(spec["base"])(mesh.vertices)
+            values = spec["base_fn"](mesh.vertices)
         except RecursionError as err:
             raise ConfigError("expression too deeply nested to evaluate") from err
         base = ScalarField(np.asarray(values, dtype=np.float64), mesh.mesh_id)

@@ -130,19 +130,12 @@ def _factor(ops: AssembledOperators, A):
     """Solve with ``A`` factored in the operators' cached symmetric order.
 
     ``A`` has the stiffness pattern plus the diagonal.  It is permuted
-    symmetrically into ``ops.symmetric_order()`` and factored there with no
-    further column ordering; the returned solve takes and gives vectors in
-    vertex numbering.
+    symmetrically into ``ops.symmetric_order()`` and factored there by
+    ``operators.ordered_factor``; the returned solve takes and gives vectors
+    in vertex numbering.
     """
     q = ops.symmetric_order()
-    lu = splu(A[q][:, q].tocsc(), permc_spec="NATURAL")
-
-    def solve(b):
-        x = np.empty_like(b)
-        x[q] = lu.solve(b[q])
-        return x
-
-    return solve
+    return _operators.ordered_factor(splu, A[q][:, q].tocsc(), q)
 
 
 def _strong_residual(ops: AssembledOperators, u: np.ndarray, S: np.ndarray):
@@ -539,7 +532,10 @@ def negative_scalar_normalization(P: int, ops: AssembledOperators) -> ScalarFiel
     A small dimple at P (v = 1 - s * hat_P) makes the recomputed curvature
     at P negative through the concavity term while leaving v = 1 outside the
     vertex star, so boundary data and remote signs are untouched.  s is
-    grown geometrically against the conformal_change recheck oracle.
+    grown geometrically against the conformal_change recheck oracle.  The
+    dimple's metadata keeps the consistent first eigenvalue it started from
+    (``eta_before``), which ``prescribe`` names if the eigenvalue it finds
+    afterwards is not positive.
     """
     geom, mesh = ops.geom, ops.mesh
     n = ops.num_vertices
@@ -569,7 +565,7 @@ def negative_scalar_normalization(P: int, ops: AssembledOperators) -> ScalarFiel
                 geom, ScalarField(v, mesh.mesh_id), ops, boundary_flux=flux
             )
             if new_geom.scalar_curvature.values[P] < 0:
-                meta = {"branch": "dimple", "s": s, "vertex": P}
+                meta = {"branch": "dimple", "s": s, "vertex": P, "eta_before": eta}
                 if h_before is not None:
                     meta["boundary_sign_preserved"] = bool(
                         np.array_equal(
@@ -594,7 +590,8 @@ def positive_mean_curvature_normalization(ops: AssembledOperators) -> ScalarFiel
     w solves the discrete Robin problem (aK + M_R + M_h) w = a M_b f with a
     boundary profile f raising the flux where h is nonpositive, so
     B_g v = (2/(p-2)) h + t f is known by construction and the new mean
-    curvature is ((p-2)/2) v^{-p/2} B_g v.
+    curvature is ((p-2)/2) v^{-p/2} B_g v.  As for the dimple, ``eta_before``
+    is the consistent first eigenvalue the factor started from.
     """
     if ops.bc_mode != "robin":
         raise ValueError("robin mode required")
@@ -631,6 +628,7 @@ def positive_mean_curvature_normalization(ops: AssembledOperators) -> ScalarFiel
                         "t": t,
                         "boundary_flux": flux,
                         "h_new_min": float(h_new[bnd].min()),
+                        "eta_before": eig.eigenvalue,
                     },
                 )
         t *= 0.5
@@ -842,10 +840,15 @@ def prescribe(
         work_ops, mass="lumped", operator="conformal-lumped"
     )
     if eig.eigenvalue <= 0:
-        raise PipelineError(
-            "eigen",
-            f"first eigenvalue {eig.eigenvalue:.6g} not positive on this route",
-        )
+        message = f"first eigenvalue {eig.eigenvalue:.6g} not positive on this route"
+        for v in factors:
+            where = f" at vertex {v.metadata['vertex']}" if "vertex" in v.metadata else ""
+            message += (f"; the {v.metadata['branch']} normalization factor{where} was "
+                        f"applied at consistent eigenvalue {v.metadata['eta_before']:.6g}")
+        if factors:
+            message += ("; the continuous problem keeps the sign of the first "
+                        "eigenvalue under conformal change")
+        raise PipelineError("eigen", message)
     u_minus = make_subsolution(local, domain, work_ops, S)
     theta, phi_s = scale_eigenfunction(eig, S, work_ops)
     config.theta = theta

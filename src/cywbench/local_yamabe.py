@@ -14,7 +14,11 @@ T_est and admits the solve only when Q_eps < T_used.
 Every test function, iterate and Newton step vanishes off the interior
 vertices of Omega.  The quadrature therefore runs only over the tets that
 touch an interior vertex (``operators.FreeQuadrature``), on interior-sized
-vectors; the other tets contribute exactly 0.
+vectors; the other tets contribute exactly 0.  The operator and every
+Jacobian are data arrays on that object's fixed interior pattern, and the
+torsion seed and the Newton polish factor them in the pattern's cached
+minimum-degree order (``FreeQuadrature.factor``); the bordered step,
+one row and column larger, keeps SuperLU's own order.
 """
 
 from __future__ import annotations
@@ -292,7 +296,7 @@ def _solve_critical(
     """
     p = ops.constants.p
     fq = ops.free_quadrature(free)
-    A = ops.conformal_laplacian_matrix(beta)[free][:, free].tocsr()
+    A = fq.conformal_laplacian_matrix(beta)
     mL = ops.mass_lumped[free]
     Sq = 1.0 if S is None else fq.sample(S)
 
@@ -302,10 +306,10 @@ def _solve_critical(
     def weighted_p_integral(u):
         return lam * fq.integrate(np.abs(fq.quad_values(u)) ** p * Sq)
 
-    def jacobian_mass(u, mu=1.0):
-        # free x free block of the weighted mass behind mu * N'(u)
+    def jacobian(u, mu=1.0):
+        # data of A - mu * N'(u) on the free-block pattern
         w = np.abs(fq.quad_values(u)) ** (p - 2.0) * Sq
-        return fq.weighted_mass(lam * mu * (p - 1.0) * w)
+        return A.data - fq.weighted_mass(lam * mu * (p - 1.0) * w).data
 
     info = {"clamp_events": 0}
     u = np.maximum(init[free].copy(), 0.0)
@@ -316,7 +320,7 @@ def _solve_critical(
         # seed strictly positive: compactly supported inits trap the clamped
         # iteration at their support frontier (M-matrix rows stay negative)
         try:
-            torsion = np.abs(splu(A.tocsc()).solve(mL))
+            torsion = np.abs(fq.factor(A.data, splu)(mL))
             if torsion.max() > 0:
                 u = u + 0.3 * u.max() * torsion / torsion.max()
         except RuntimeError:
@@ -372,8 +376,8 @@ def _solve_critical(
 
         def bordered_step(x, r):
             r1, r2, F = r
-            W = jacobian_mass(x[:-1], x[-1])
-            B = bmat([[(A - W).tocsr(), csc_matrix(-F[:, None])],
+            J = fq.matrix(jacobian(x[:-1], x[-1]))
+            B = bmat([[J, csc_matrix(-F[:, None])],
                       [csc_matrix(p * F[None, :]), None]]).tocsc()
             return splu(B).solve(np.concatenate([-r1, [-r2]]))
 
@@ -406,7 +410,7 @@ def _solve_critical(
 
     res = damped_newton(
         u, residual,
-        lambda u, r: splu((A - jacobian_mass(u)).tocsc()).solve(-r[0]),
+        lambda u, r: fq.factor(jacobian(u), splu)(-r[0]),
         lambda u, r, rn: rn <= 1e-11 * r[1],
         project=_clamp_negative, max_iter=60)
     u = res.x

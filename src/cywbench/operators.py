@@ -17,6 +17,17 @@ Conventions
   gluing Jacobians and iteration matrices in it
   (``global_iteration._factor``), because those matrices have the stiffness
   pattern plus the diagonal.
+* ``FreeQuadrature`` builds, once per free set, the sparse P1 interpolation
+  matrix P from free-sized vectors to the active quadrature points
+  (entries ``TET_QP[q, c]``), so quadrature values are P u and the
+  nonlinear load is P^T of the weighted samples.  Its free x free matrices
+  share one CSR pattern and are filled as data arrays; ``factor`` factors
+  one in the pattern's minimum-degree order (``_symmetric_lu`` of the
+  restricted mass).  The pattern, the restricted blocks and the order are
+  built on first use, so quadrature-only callers skip them.
+  ``local_yamabe`` uses P in every quadrature sweep and the order for its
+  torsion seed and Newton polish.  Both stages factor through
+  ``ordered_factor``.
 * Lumped diagonals are kept alongside: pointwise field operators use the
   lumped pair (diagonal inverse), spectra and quotients use the consistent
   matrices.  The L^p norm is always the order-2 quadrature of the P1
@@ -33,12 +44,15 @@ Conventions
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 from scipy import io as scipy_io
-from scipy.sparse import coo_matrix, csr_matrix, diags, identity
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, diags, identity
 from scipy.sparse.linalg import eigsh, splu
 
 from . import _kernels
@@ -64,6 +78,7 @@ __all__ = [
     "assemble",
     "damped_newton",
     "dual_norm",
+    "ordered_factor",
     "apply_conformal_laplacian",
     "first_eigenpair",
     "yamabe_quotient",
@@ -210,34 +225,90 @@ class AssembledOperators:
 
 
 class FreeQuadrature:
-    """Quadrature helpers on free-sized vectors, swept over the active tets.
+    """Quadrature and free x free blocks on free-sized vectors, over the active tets.
 
     Vectors ``uf`` hold the values at ``free`` and stand for fields that
-    vanish at every other vertex; the fixed vertices of an active tet read the
-    zero slot ``nf``.  Only index arrays and the active density are kept, and
-    no reference to the operators, which cache this object.
+    vanish at every other vertex.  Free x free matrices are CSR on one
+    pattern, the free vertex pairs of the active tets, so their ``data``
+    arrays add entrywise.  The interpolation is built with the object; the
+    pattern, the restricted operator blocks and the elimination order on
+    first use, so a caller that only integrates pays for none of them.  The
+    operators cache this object, so it keeps only a weak reference to them.
     """
 
     def __init__(self, ops: AssembledOperators, free: np.ndarray):
+        self._ops = weakref.ref(ops)
+        self.free = np.array(free, dtype=np.int64)
         self.p = ops.constants.p
         self.nf = nf = len(free)
         self.tets = _active_cells(ops.mesh.tets, free)
         self.density = ops.geom.volume_density[self.tets]
-        slot = np.full(ops.num_vertices, nf, dtype=np.int64)
+        self._weights = TET_QW * self.density
+        slot = np.full(ops.num_vertices, -1, dtype=np.int64)
         slot[free] = np.arange(nf)
         self.vertices = ops.mesh.tets[self.tets]
-        self.cells = slot[self.vertices]
-        rows = np.repeat(self.cells, 4, axis=1).ravel()
-        cols = np.tile(self.cells, (1, 4)).ravel()
-        self._pairs = np.flatnonzero((rows < nf) & (cols < nf))
-        self._rows, self._cols = rows[self._pairs], cols[self._pairs]
+        self._cells = cells = slot[self.vertices]
+        nt, nq = self.density.shape
+        # row (t, q) of the interpolation: TET_QP[q, c] at column cells[t, c], c free
+        in_free = np.broadcast_to(cells[:, None, :] >= 0, (nt, nq, 4))
+        self.interp = csr_matrix(
+            (np.broadcast_to(TET_QP, in_free.shape)[in_free],
+             np.broadcast_to(cells[:, None, :], in_free.shape)[in_free],
+             np.concatenate(([0], np.cumsum(in_free.sum(axis=2).ravel())))),
+            shape=(nt * nq, nf))
+        self.interp.sort_indices()  # P u sums each row in free-vertex order
+        self._interp_t = self.interp.T
+
+    @cached_property
+    def _pattern(self) -> SimpleNamespace:
+        """The free pairs of the element matrices (``pairs``), the pattern
+        slot of each (``slots``), and the pattern as sorted keys
+        row * nf + col and as CSR ``indices``/``indptr``."""
+        nf, cells = self.nf, self._cells
+        rows = np.repeat(cells, 4, axis=1).ravel()
+        cols = np.tile(cells, (1, 4)).ravel()
+        pairs = np.flatnonzero((rows >= 0) & (cols >= 0))
+        keys, slots = np.unique(rows[pairs] * nf + cols[pairs], return_inverse=True)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // nf, minlength=nf))))
+        return SimpleNamespace(pairs=pairs, slots=slots, keys=keys,
+                               indices=keys % nf, indptr=indptr)
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        """Data of the free x free blocks of a K + M_R (+ M_h) and M."""
+        ops, free = self._ops(), self.free
+        return (self._on_pattern(ops.conformal_laplacian_matrix()[free][:, free]),
+                self._on_pattern(ops.mass[free][:, free]))
+
+    @cached_property
+    def _order(self) -> tuple:
+        """The pattern's minimum-degree order q, the permutation of the data
+        into it, and the CSC structure there (``_symmetric_lu`` of the mass)."""
+        pat = self._pattern
+        perm_c = _symmetric_lu(self.matrix(self._blocks[1])).perm_c
+        rows, cols = perm_c[pat.keys // self.nf], perm_c[pat.indices]
+        perm = np.lexsort((rows, cols))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=self.nf))))
+        return np.argsort(perm_c), perm, rows[perm], indptr
+
+    def _on_pattern(self, block: csr_matrix) -> np.ndarray:
+        """Data of a free x free block, whose entries all lie on the pattern."""
+        block, keys = block.tocoo(), self._pattern.keys
+        data = np.zeros(keys.size)
+        data[np.searchsorted(keys, block.row * self.nf + block.col)] = block.data
+        return data
+
+    def matrix(self, data: np.ndarray) -> csr_matrix:
+        """The free x free matrix with ``data`` on the pattern."""
+        pat = self._pattern
+        return csr_matrix((data, pat.indices, pat.indptr), shape=(self.nf, self.nf))
 
     def sample(self, field: np.ndarray) -> np.ndarray:
         """A full-length vertex field at the active quadrature points."""
         return np.einsum("qc,tc->tq", TET_QP, field[self.vertices])
 
     def quad_values(self, uf: np.ndarray) -> np.ndarray:
-        return np.einsum("qc,tc->tq", TET_QP, np.append(uf, 0.0)[self.cells])
+        return (self.interp @ uf).reshape(self.density.shape)
 
     def integrate(self, w_q: np.ndarray) -> float:
         return float(np.einsum("q,tq,tq->", TET_QW, self.density, w_q))
@@ -249,14 +320,45 @@ class FreeQuadrature:
         """Free rows of the consistent load of Sq*|u|^{p-2}u (Sq sampled)."""
         uq = self.quad_values(uf)
         w = np.abs(uq) ** (self.p - 2.0) * uq * Sq
-        loc = _kernels.local_load(self.density, w, TET_QP, TET_QW)
-        return _scatter_vector(loc, self.cells, self.nf + 1)[:-1]
+        return self._interp_t @ (self._weights * w).ravel()
 
     def weighted_mass(self, w_q: np.ndarray) -> csr_matrix:
         """Free x free block of the weighted consistent mass matrix."""
+        pat = self._pattern
         loc = _kernels.local_mass(self.density, w_q, TET_QP, TET_QW).ravel()
-        entries = (loc[self._pairs], (self._rows, self._cols))
-        return coo_matrix(entries, shape=(self.nf, self.nf)).tocsr()
+        return self.matrix(np.bincount(pat.slots, loc[pat.pairs], minlength=pat.keys.size))
+
+    def conformal_laplacian_matrix(self, beta: float = 0.0) -> csr_matrix:
+        """Free x free block of ``AssembledOperators.conformal_laplacian_matrix(beta)``."""
+        laplacian, mass = self._blocks
+        return self.matrix(laplacian + beta * mass)
+
+    def factor(self, data: np.ndarray, splu):
+        """Solve with the matrix of ``data``, factored by ``splu`` in the
+        pattern's cached minimum-degree order (see :func:`ordered_factor`)."""
+        q, perm, indices, indptr = self._order
+        A_q = csc_matrix((data[perm], indices, indptr), shape=(self.nf, self.nf))
+        return ordered_factor(splu, A_q, q)
+
+
+def ordered_factor(splu, A_q, q: np.ndarray):
+    """Solve with ``A_q`` factored by ``splu`` in the order it is given.
+
+    ``A_q`` is a square matrix with a symmetric pattern, permuted
+    symmetrically so that its row and column j are row and column ``q[j]``
+    of the matrix meant; SuperLU keeps that column order
+    (``permc_spec="NATURAL"``).  The returned solve takes and gives vectors
+    in the unpermuted numbering.  Callers pass ``splu`` as their own module
+    looks it up, so a traced run counts the factorization under the caller.
+    """
+    lu = splu(A_q, permc_spec="NATURAL")
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[q] = lu.solve(b[q])
+        return x
+
+    return solve
 
 
 # ---------------------------------------------------------------------------

@@ -480,3 +480,16 @@ def test_check_obstructions_assembles_once(tmp_path, monkeypatch):
                      "1", "--constant-S", "6", "--output-dir", str(tmp_path)])
     assert code == 0
     assert calls == ["closed"]
+
+
+def test_prescribe_compiles_base_expression_once(tmp_path, monkeypatch):
+    calls = []
+    parse = cli.parse_expression
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_expression", counted)
+    cli.main(_admissible_cfg(tmp_path, "2 + sin(2*pi*x)"))
+    assert calls == ["2 + sin(2*pi*x)"]

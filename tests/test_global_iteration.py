@@ -313,6 +313,23 @@ def test_prescribe_tags_local_solve_failure(monkeypatch):
     assert isinstance(err.value.__cause__, RuntimeError)
 
 
+def test_eigen_refusal_names_the_normalization_sign_flip():
+    # the dimple at vertex 101 takes the first eigenvalue from positive to
+    # negative, which no conformal change does to the continuous problem
+    mesh, geom, S = _bump_admissible_target(0.6)
+    with pytest.raises(gi.PipelineError) as err:
+        gi.prescribe(mesh, geom, S)
+    assert err.value.stage == "eigen"
+    match = re.fullmatch(
+        r"\[eigen\] first eigenvalue (\S+) not positive on this route; the dimple "
+        r"normalization factor at vertex 101 was applied at consistent eigenvalue (\S+); "
+        r"the continuous problem keeps the sign of the first eigenvalue under conformal change",
+        str(err.value))
+    assert match, str(err.value)
+    after, before = map(float, match.groups())
+    assert after < -4e4 and before > 0
+
+
 @functools.lru_cache(maxsize=None)
 def _bump_glue_failure():
     """Mesh, gluing failure and gluing inputs of the criterion-07 target on bump-t3 r1."""

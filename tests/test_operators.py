@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.linalg
 from scipy.io import mmread
+from scipy.sparse.linalg import splu
 
 from cywbench import _kernels, geometry, operators
 from cywbench.geometry import TET_QP, TET_QW, ScalarField
@@ -239,6 +240,15 @@ def test_free_quadrature_matches_whole_mesh(preset_id, radius):
     W = fq.weighted_mass(w[fq.tets])
     assert W.shape == ref.shape
     assert abs(W - ref).max() <= 1e-13 * abs(ref).max()
+    # the Jacobians of the local stage: A(beta) - W on the fixed pattern,
+    # solved in the pattern's cached order
+    b = np.random.default_rng(4).standard_normal(free.size)
+    for beta in (0.0, -0.35):
+        J = fq.matrix(fq.conformal_laplacian_matrix(beta).data - W.data)
+        want = ops.conformal_laplacian_matrix(beta)[free][:, free] - W
+        assert abs(J - want).max() <= 1e-13 * abs(want).max()
+        x = fq.factor(J.data, splu)(b)
+        assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def _interior_rows_equal(got, want, interior):
