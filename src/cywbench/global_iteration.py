@@ -15,11 +15,12 @@ A fixed point of the monotone iteration makes the recomputed curvature
 u^{1-p} (a K u + m R u)/m equal S exactly, which is what the verification
 step measures.  Sub-solutions are exact zero extensions of local solutions,
 verified in the assembled (consistent) weak form against the nonnegative
-nodal test cone.  The super-solution is one gluing of the local solution
-with the scaled first eigenfunction, root-found once on the lumped rows by
-``operators.damped_newton`` and checked pointwise in the lumped strong form;
-a failed gluing names a per-vertex bound that rules out every dominating
-candidate, where one holds.
+nodal test cone.  The super-solution is the scaled first eigenfunction
+where that already dominates the local solution.  Otherwise a per-vertex
+bound that rules out every dominating candidate, where one holds, refuses
+the gluing before any Newton step; failing that, the gluing of the two is
+root-found once on the lumped rows by ``operators.damped_newton`` and
+checked pointwise in the lumped strong form.
 """
 
 from __future__ import annotations
@@ -285,13 +286,15 @@ def glue_supersolution(
     """Super-solution dominating both the local solution and theta*phi.
 
     When theta*phi already dominates the local solution it is returned
-    unchanged.  Otherwise the transition-cutoff blend of the two envelopes
-    initializes one ``operators.damped_newton`` on the lumped rows; the
+    unchanged.  Otherwise, where ``_dominance_bound`` certifies a vertex
+    whose row no dominating candidate can lift to the check's -1e-10 slack,
+    a ``PipelineError`` naming that certificate is raised before any Newton
+    step.  Only then does the transition-cutoff blend of the two envelopes
+    initialize one ``operators.damped_newton`` on the lumped rows; the
     converged root is shifted by a tiny positive constant, which makes every
     row strictly positive up to 1e-10 slack, and checked once.  A failed
     check raises a ``PipelineError`` naming the Newton status, the vertices
-    below an envelope, the worst vertex and the ``_dominance_bound``
-    certificate, which rules out every dominating candidate where it exists.
+    below an envelope, the worst vertex and the certificate, if any.
     """
     config.validated()
     mesh = ops.mesh
@@ -318,6 +321,18 @@ def glue_supersolution(
         return ScalarField(
             phi, mesh.mesh_id, {"branch": "eigenfunction-dominates", "theta_used": float(phi_scaled.metadata.get("theta", 0.0))}
         )
+
+    def at(i):
+        return ", ".join(map(repr, mesh.vertices[i].tolist()))
+
+    cert = _dominance_bound(ops, u1v, domain, Sv)
+    certificate = "no per-vertex certificate" if cert is None else (
+        f"certificate: vertex {cert[0]} at ({at(cert[0])}) has u_minus {float(u1v[cert[0]])!r} "
+        f">= s* {cert[1]!r}, so every dominating candidate has row <= bound {cert[2]!r}")
+    # the bound must clear the check's slack beyond its own rounding
+    if cert is not None and cert[2] + 1e-9 * abs(cert[2]) < -1e-10:
+        raise PipelineError("glue_supersolution", "Newton not run, as no dominating candidate "
+                            "can pass the check; " + certificate)
     mL = ops.mass_lumped
 
     def rows_and_norm(u):
@@ -354,18 +369,12 @@ def glue_supersolution(
             "branch": "blend-newton", "gamma_used": gamma, "shift": shift,
             "newton_relative_residual": rel, "strong_residual_min": float(rows.min())})
 
-    def at(i):
-        return ", ".join(map(repr, mesh.vertices[i].tolist()))
-
-    k, cert = int(np.argmin(rows)), _dominance_bound(ops, u1v, domain, Sv)
+    k = int(np.argmin(rows))
     raise PipelineError(
         "glue_supersolution",
         f"Newton {res.status} after {len(res.steps)} steps, relative residual {rel:.3e}; "
         f"vertices below an envelope: {below}; worst vertex {k} at ({at(k)}) with "
-        f"strong-residual margin {rows[k]:.3e}; " + (
-            "no per-vertex certificate" if cert is None else
-            f"certificate: vertex {cert[0]} at ({at(cert[0])}) has u_minus {float(u1v[cert[0]])!r} "
-            f">= s* {cert[1]!r}, so every dominating candidate has row <= bound {cert[2]!r}"),
+        f"strong-residual margin {rows[k]:.3e}; " + certificate,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import re
 from unittest import mock
@@ -346,11 +347,21 @@ def _bump_glue_failure():
     return mesh, err.value, inputs[0]
 
 
+def _counted_glue(args):
+    """Error of ``glue_supersolution(*args)`` and its ``damped_newton`` and ``splu`` call counts."""
+    with mock.patch.object(gi, "damped_newton", wraps=gi.damped_newton) as newton, \
+            mock.patch.object(gi, "splu", wraps=gi.splu) as lu, \
+            pytest.raises(gi.PipelineError) as err:
+        gi.glue_supersolution(*args)
+    return err.value, newton.call_count, lu.call_count
+
+
 def test_glue_failure_carries_certificate():
-    _, err, _ = _bump_glue_failure()
+    _, err, inputs = _bump_glue_failure()
     assert err.stage == "glue_supersolution"
     message = str(err)
-    assert re.search(r"Newton (converged|stalled|singular|max-iter) after \d+ steps", message)
+    assert message.startswith("[glue_supersolution] Newton not run, as no dominating candidate "
+                              "can pass the check; certificate: ")
     match = re.search(r"certificate: vertex (\d+) at \(([^)]*)\) has u_minus (\S+) >= s\* (\S+), "
                       r"so every dominating candidate has row <= bound (\S+)$", message)
     assert match, message
@@ -358,6 +369,33 @@ def test_glue_failure_carries_certificate():
     u_minus, s_star, bound = map(float, match.group(3, 4, 5))
     assert u_minus >= s_star and bound < -1e-10
     assert err.report.verification["failure"] == message
+    # the certificate refuses before the Newton and its factorizations
+    direct, newton_calls, lu_calls = _counted_glue(inputs)
+    assert str(direct) == message
+    assert newton_calls == 0 and lu_calls == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _uncertified_glue_failure():
+    """Gluing failure on the bump-t3 r1 inputs with the local solution scaled by 0.3.
+
+    There no vertex is certified, so the gluing Newton runs and fails.
+    """
+    mesh, _, (u1, phi_s, domain, config, ops, S) = _bump_glue_failure()
+    u1 = ScalarField(0.3 * u1.values, mesh.mesh_id)
+    assert gi._dominance_bound(ops, u1.values, domain, S.values) is None
+    return (mesh, *_counted_glue((u1, phi_s, domain, dataclasses.replace(config), ops, S)))
+
+
+def test_uncertified_glue_failure_runs_the_newton():
+    _, err, newton_calls, lu_calls = _uncertified_glue_failure()
+    assert err.stage == "glue_supersolution"
+    assert newton_calls == 1 and lu_calls > 0
+    # without a certificate the message is that of the Newton-first gluing
+    assert str(err) == (
+        "[glue_supersolution] Newton stalled after 22 steps, relative residual 1.643e-01; "
+        "vertices below an envelope: 0; worst vertex 192 at (0.375, 0.0, 0.0) with "
+        "strong-residual margin -9.047e+02; no per-vertex certificate")
 
 
 @settings(max_examples=40, deadline=None)
@@ -377,7 +415,7 @@ def test_dominance_bound_caps_every_dominating_row(seed, scale, density, pin):
 
 
 def test_glue_failure_names_worst_vertex_coordinates():
-    mesh, err, _ = _bump_glue_failure()
+    mesh, err, _, _ = _uncertified_glue_failure()
     match = re.search(r"worst vertex (\d+) at \(([^)]*)\) with strong-residual", str(err))
     assert match, str(err)
     k = int(match.group(1))
