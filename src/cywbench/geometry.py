@@ -475,12 +475,13 @@ def _flat_geometry_arrays(mesh: Mesh):
     """Pullback metric E^T E per tet and boundary densities.
 
     The metric is constant in q: a read-only view repeating each tet's matrix.
+    The density is one determinant per tet, repeated into a (nt, nq) array.
     """
     E = tet_edge_matrices(mesh)  # (nt, 3, 3)
     G = np.einsum("tki,tkj->tij", E, E)
     nq = TET_QP.shape[0]
     metric = np.broadcast_to(G[:, None, :, :], (len(G), nq, 3, 3))
-    density = np.sqrt(np.linalg.det(metric))
+    density = np.repeat(np.sqrt(np.linalg.det(G))[:, None], nq, axis=1)
     bdens = None
     if mesh.boundary_faces.size:
         x = mesh.vertices[mesh.boundary_faces]  # (nb, 3, dim)

@@ -3,6 +3,10 @@
 Conventions
 -----------
 * ``stiffness`` K is the metric-weighted weak form of -Laplace (no factor a).
+* ``assemble`` builds the sorted pair pattern of its cells once per call
+  (``_PairPattern``) and sums K, M and M_R onto it, one ``np.bincount``
+  each; the boundary pair M_b, M_h share the faces' pattern.  The matrices
+  are canonical CSR.  Nothing is cached across calls.
 * ``mass`` M, ``curvature_mass`` M_R are consistent (order-2 quadrature).
 * ``boundary_mass`` M_h carries the Robin weight (2a/(p-2)) * h_g.
 * ``AssembledOperators.add_robin`` is the one place that adds the Robin
@@ -21,9 +25,10 @@ Conventions
   matrix P from free-sized vectors to the active quadrature points
   (entries ``TET_QP[q, c]``), so quadrature values are P u and the
   nonlinear load is P^T of the weighted samples.  Its free x free matrices
-  share one CSR pattern and are filled as data arrays; ``factor`` factors
-  one in the pattern's minimum-degree order (``_symmetric_lu`` of the
-  restricted mass).  The pattern, the restricted blocks and the order are
+  share one CSR pattern, a ``_PairPattern`` of the active tets with the
+  non-free corners left out, and are filled as data arrays; ``factor``
+  factors one in the pattern's minimum-degree order (``_symmetric_lu`` of
+  the restricted mass).  The pattern, the restricted blocks and the order are
   built on first use, so quadrature-only callers skip them.
   ``local_yamabe`` uses P in every quadrature sweep and the order for its
   torsion seed and Newton polish.  Both stages factor through
@@ -47,12 +52,11 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 from scipy import io as scipy_io
-from scipy.sparse import coo_matrix, csc_matrix, csr_matrix, diags, identity
+from scipy.sparse import csc_matrix, csr_matrix, diags, identity
 from scipy.sparse.linalg import eigsh, splu
 
 from . import _kernels
@@ -88,14 +92,44 @@ __all__ = [
 ]
 
 
-def _scatter_matrix(local: np.ndarray, cells: np.ndarray, n: int) -> csr_matrix:
-    """Sum element matrices (nc x nc per cell) into a global sparse matrix."""
-    nc = cells.shape[1]
-    rows = np.repeat(cells, nc, axis=1).ravel()
-    cols = np.tile(cells, (1, nc)).ravel()
-    mat = coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    mat.sum_duplicates()
-    return mat
+class _PairPattern:
+    """The sorted pair pattern of the element matrices of a cell set.
+
+    ``cells`` holds each cell's corners as indices in ``range(n)``, or -1
+    for a corner to leave out.  ``pairs`` are the flat positions of the
+    kept pairs in an element-matrix array (cell, row corner, column corner),
+    ``slots`` the pattern entry of each, and the pattern is given as sorted
+    keys row * n + col and as CSR ``indices``/``indptr``.  ``scatter``
+    adds element matrices onto the pattern in cell order, so an entry that
+    only some cells touch gets the same sum whatever other cells are
+    present.
+    """
+
+    def __init__(self, cells: np.ndarray, n: int):
+        nc = cells.shape[1]
+        rows = np.repeat(cells, nc, axis=1).ravel()
+        cols = np.tile(cells, (1, nc)).ravel()
+        self.n = n
+        self.pairs = np.flatnonzero((rows >= 0) & (cols >= 0))
+        keys = (rows * n + cols)[self.pairs]
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))  # each key's first place
+        self.keys = keys[first]
+        self.slots = np.empty_like(order)
+        self.slots[order] = np.repeat(np.arange(first.size), np.diff(first, append=keys.size))
+        self.indices = self.keys % n
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(self.keys // n,
+                                                                 minlength=n))))
+
+    def matrix(self, data: np.ndarray) -> csr_matrix:
+        """The n x n CSR matrix with ``data`` on the pattern (canonical format)."""
+        return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def scatter(self, local: np.ndarray) -> csr_matrix:
+        """The sum of the element matrices ``local`` (one per cell)."""
+        return self.matrix(np.bincount(self.slots, local.ravel()[self.pairs],
+                                       minlength=self.keys.size))
 
 
 def _scatter_vector(local: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
@@ -260,18 +294,9 @@ class FreeQuadrature:
         self._interp_t = self.interp.T
 
     @cached_property
-    def _pattern(self) -> SimpleNamespace:
-        """The free pairs of the element matrices (``pairs``), the pattern
-        slot of each (``slots``), and the pattern as sorted keys
-        row * nf + col and as CSR ``indices``/``indptr``."""
-        nf, cells = self.nf, self._cells
-        rows = np.repeat(cells, 4, axis=1).ravel()
-        cols = np.tile(cells, (1, 4)).ravel()
-        pairs = np.flatnonzero((rows >= 0) & (cols >= 0))
-        keys, slots = np.unique(rows[pairs] * nf + cols[pairs], return_inverse=True)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // nf, minlength=nf))))
-        return SimpleNamespace(pairs=pairs, slots=slots, keys=keys,
-                               indices=keys % nf, indptr=indptr)
+    def _pattern(self) -> _PairPattern:
+        """The free x free pattern of the active tets (non-free corners -1)."""
+        return _PairPattern(self._cells, self.nf)
 
     @cached_property
     def _blocks(self) -> tuple:
@@ -300,8 +325,7 @@ class FreeQuadrature:
 
     def matrix(self, data: np.ndarray) -> csr_matrix:
         """The free x free matrix with ``data`` on the pattern."""
-        pat = self._pattern
-        return csr_matrix((data, pat.indices, pat.indptr), shape=(self.nf, self.nf))
+        return self._pattern.matrix(data)
 
     def sample(self, field: np.ndarray) -> np.ndarray:
         """A full-length vertex field at the active quadrature points."""
@@ -324,9 +348,7 @@ class FreeQuadrature:
 
     def weighted_mass(self, w_q: np.ndarray) -> csr_matrix:
         """Free x free block of the weighted consistent mass matrix."""
-        pat = self._pattern
-        loc = _kernels.local_mass(self.density, w_q, TET_QP, TET_QW).ravel()
-        return self.matrix(np.bincount(pat.slots, loc[pat.pairs], minlength=pat.keys.size))
+        return self._pattern.scatter(_kernels.local_mass(self.density, w_q, TET_QP, TET_QW))
 
     def conformal_laplacian_matrix(self, beta: float = 0.0) -> csr_matrix:
         """Free x free block of ``AssembledOperators.conformal_laplacian_matrix(beta)``."""
@@ -476,6 +498,17 @@ def assemble(
     mean-curvature field in ``geom``).  Dirichlet operators carry only the
     cells with an interior vertex: their interior rows and columns are exact,
     their other rows are partial and must not be read.
+
+    The element matrices come from ``_kernels``: the stiffness inverts each
+    metric in closed form, cofactors over the determinant, and raises
+    ``ValueError`` where a metric is not positive definite (a determinant
+    or a leading principal minor is not > 0).  The cells' sorted pair
+    pattern is built once per call, and K, M and M_R are each one
+    ``np.bincount`` onto it in cell order; M_b and M_h likewise on the
+    boundary faces' pattern.  An element matrix depends only on its own
+    cell, and an entry adds its cells' contributions in the same order
+    whatever other cells are present, so the interior rows of a Dirichlet
+    assembly are bitwise those of the whole-mesh assembly.
     """
     if bc_mode not in ("closed", "dirichlet", "robin"):
         raise ValueError(f"unknown bc_mode {bc_mode!r}")
@@ -502,16 +535,12 @@ def assemble(
             act = _active_cells(faces, domain.interior_set)
             faces, bdens = faces[act], bdens[act]
 
-    k_loc = _kernels.local_stiffness(metric, dens, BARY_GRAD, TET_QW)
-    K = _scatter_matrix(k_loc, tets, n)
-
-    m_loc = _kernels.local_mass(dens, np.ones_like(dens), TET_QP, TET_QW)
-    M = _scatter_matrix(m_loc, tets, n)
-
+    pattern = _PairPattern(tets, n)
+    K = pattern.scatter(_kernels.local_stiffness(metric, dens, BARY_GRAD, TET_QW))
+    M = pattern.scatter(_kernels.local_mass(dens, np.ones_like(dens), TET_QP, TET_QW))
     Rv = geom.scalar_curvature.values
     Rq = np.einsum("qc,tc->tq", TET_QP, Rv[tets])
-    mr_loc = _kernels.local_mass(dens, Rq, TET_QP, TET_QW)
-    MR = _scatter_matrix(mr_loc, tets, n)
+    MR = pattern.scatter(_kernels.local_mass(dens, Rq, TET_QP, TET_QW))
 
     M_lumped = np.asarray(M.sum(axis=1)).ravel()
     MR_lumped = M_lumped * Rv
@@ -521,16 +550,15 @@ def assemble(
     if mesh.boundary_faces.size:
         if bdens is None:
             raise ValueError("mesh has boundary but geom lacks boundary_density")
+        bpattern = _PairPattern(faces, n)
         bones = np.ones_like(bdens)
-        mb_loc = _kernels.local_tri_mass(bdens, bones, TRI_QP, TRI_QW)
-        Mb = _scatter_matrix(mb_loc, faces, n)
+        Mb = bpattern.scatter(_kernels.local_tri_mass(bdens, bones, TRI_QP, TRI_QW))
         Mb_lumped = np.asarray(Mb.sum(axis=1)).ravel()
         if geom.mean_curvature is not None:
             hv = geom.mean_curvature.values
             robin_w = 2.0 * constants.a / constants.p_minus_2
             hq = robin_w * np.einsum("qc,fc->fq", TRI_QP, hv[faces])
-            mh_loc = _kernels.local_tri_mass(bdens, hq, TRI_QP, TRI_QW)
-            Mh = _scatter_matrix(mh_loc, faces, n)
+            Mh = bpattern.scatter(_kernels.local_tri_mass(bdens, hq, TRI_QP, TRI_QW))
             Mh_lumped = Mb_lumped * (robin_w * hv)
 
     return AssembledOperators(

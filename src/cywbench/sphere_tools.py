@@ -27,6 +27,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from scipy.spatial import cKDTree
 
+from ._kernels import metric_adjugate
 from .geometry import BARY_GRAD, Mesh, ScalarField, TET_QP, TET_QW, tet_edge_matrices
 from .operators import AssembledOperators
 
@@ -289,8 +290,8 @@ def kw_obstruction(
     mesh = ops.mesh
     gH = _simplex_gradients(mesh, H.values)
     gS = _simplex_gradients(mesh, S.values)
-    ginv = np.linalg.inv(ops.geom.metric)  # (nt, nq, 3, 3)
-    inner = np.einsum("td,tqde,te->tq", gH, ginv, gS)
+    adj, det = metric_adjugate(ops.geom.metric)  # (3, 3, nt, nq), (nt, nq)
+    inner = np.einsum("td,detq,te->tq", gH, adj, gS) / det
     up = np.abs(ops.quad_values(u.values)) ** ops.constants.p
     return ops.integrate(inner * up)
 
@@ -331,8 +332,8 @@ def be_obstruction(
 def be_scale(R_field: ScalarField, a: np.ndarray, ops: AssembledOperators) -> float:
     """Reference scale |a| * integral of |grad R|_g dVol (same quadrature)."""
     gR = _simplex_gradients(ops.mesh, R_field.values)
-    ginv = np.linalg.inv(ops.geom.metric)
-    mag = np.sqrt(np.maximum(np.einsum("td,tqde,te->tq", gR, ginv, gR), 0.0))
+    adj, det = metric_adjugate(ops.geom.metric)
+    mag = np.sqrt(np.maximum(np.einsum("td,detq,te->tq", gR, adj, gR) / det, 0.0))
     return float(np.linalg.norm(np.asarray(a, float))) * ops.integrate(mag)
 
 

@@ -22,6 +22,15 @@ def test_flat_torus_total_volume():
     assert abs(geometry.tet_volumes(mesh).sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("preset_id", ["flat-t3", "ball-negR", "annulus", "bump-t3"])
+def test_flat_volume_density_is_one_determinant_per_tet(preset_id):
+    _, geom = preset(preset_id, 1)
+    # the value before the per-tet determinant: det of the repeated view
+    assert np.array_equal(geom.volume_density, np.sqrt(np.linalg.det(geom.metric)))
+    assert geom.volume_density.flags.c_contiguous
+    assert geom.volume_density.shape == geom.metric.shape[:2]
+
+
 def test_tet_volumes_positive_all_presets():
     for pid in ("flat-t3", "round-s3", "ball-negR", "bump-t3", "annulus"):
         mesh, _ = preset(pid, 1)

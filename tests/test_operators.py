@@ -10,12 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.linalg
 from scipy.io import mmread
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from cywbench import _kernels, geometry, operators
-from cywbench.geometry import TET_QP, TET_QW, ScalarField
+from cywbench.geometry import BARY_GRAD, TET_QP, TET_QW, TRI_QP, TRI_QW, ScalarField
 
 from conftest import CST, assembled, preset
+
+
+def _coo_scatter(local, cells, n):
+    """The element-matrix scatter before the shared pattern, kept as an oracle."""
+    nc = cells.shape[1]
+    rows = np.repeat(cells, nc, axis=1).ravel()
+    cols = np.tile(cells, (1, nc)).ravel()
+    mat = coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    return mat
 
 
 def test_stiffness_annihilates_constants():
@@ -236,7 +247,7 @@ def test_free_quadrature_matches_whole_mesh(preset_id, radius):
     close(fq.lp_norm(u[free]), ops.lp_norm(u))
     w = uq ** (p - 2.0) * ops.quad_values(S)
     loc = _kernels.local_mass(geom.volume_density, w, TET_QP, TET_QW)
-    ref = operators._scatter_matrix(loc, mesh.tets, mesh.num_vertices)[free][:, free]
+    ref = _coo_scatter(loc, mesh.tets, mesh.num_vertices)[free][:, free]
     W = fq.weighted_mass(w[fq.tets])
     assert W.shape == ref.shape
     assert abs(W - ref).max() <= 1e-13 * abs(ref).max()
@@ -249,6 +260,60 @@ def test_free_quadrature_matches_whole_mesh(preset_id, radius):
         assert abs(J - want).max() <= 1e-13 * abs(want).max()
         x = fq.factor(J.data, splu)(b)
         assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("preset_id, refinement, bc_mode",
+                         [("round-s3", 2, "closed"), ("ball-negR", 1, "robin"),
+                          ("bump-t3", 1, "closed")])
+def test_pattern_scatter_matches_coo_oracle(preset_id, refinement, bc_mode):
+    mesh, geom = preset(preset_id, refinement)
+    ops = assembled(preset_id, refinement, bc_mode)
+    n, tets, faces, dens = mesh.num_vertices, mesh.tets, mesh.boundary_faces, geom.volume_density
+    Rq = np.einsum("qc,tc->tq", TET_QP, geom.scalar_curvature.values[tets])
+    oracles = {
+        "stiffness": (_kernels.local_stiffness(geom.metric, dens, BARY_GRAD, TET_QW), tets),
+        "mass": (_kernels.local_mass(dens, np.ones_like(dens), TET_QP, TET_QW), tets),
+        "curvature_mass": (_kernels.local_mass(dens, Rq, TET_QP, TET_QW), tets),
+    }
+    if faces.size:
+        bdens = geom.boundary_density
+        hq = (2.0 * CST.a / CST.p_minus_2) * np.einsum(
+            "qc,fc->fq", TRI_QP, geom.mean_curvature.values[faces])
+        oracles["boundary_mass_plain"] = (
+            _kernels.local_tri_mass(bdens, np.ones_like(bdens), TRI_QP, TRI_QW), faces)
+        oracles["boundary_mass"] = (_kernels.local_tri_mass(bdens, hq, TRI_QP, TRI_QW), faces)
+    for name, (local, cells) in oracles.items():
+        got, want = getattr(ops, name), _coo_scatter(local, cells, n)
+        assert got.has_canonical_format, name
+        assert np.array_equal(got.indptr, want.indptr), name
+        assert np.array_equal(got.indices, want.indices), name
+        row_max = np.maximum.reduceat(np.abs(want.data), want.indptr[:-1])
+        row_of = np.repeat(np.arange(n), np.diff(want.indptr))
+        assert (np.abs(got.data - want.data) <= 1e-15 * row_max[row_of]).all(), name
+
+
+def _unique_pattern(cells, nf):
+    """The free-block pattern before the shared builder, kept as an oracle."""
+    rows = np.repeat(cells, 4, axis=1).ravel()
+    cols = np.tile(cells, (1, 4)).ravel()
+    pairs = np.flatnonzero((rows >= 0) & (cols >= 0))
+    keys, slots = np.unique(rows[pairs] * nf + cols[pairs], return_inverse=True)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // nf, minlength=nf))))
+    return dict(pairs=pairs, slots=slots, keys=keys, indices=keys % nf, indptr=indptr)
+
+
+def test_free_quadrature_pattern_matches_unique_oracle():
+    mesh, geom = preset("bump-t3", 1)
+    center = np.asarray(geom.metadata["marked_region_center"])
+    dom = geometry.extract_subdomain(
+        mesh, lambda v: np.linalg.norm(mesh.displacement(
+            np.broadcast_to(center, v.shape), v), axis=1) < 0.45)
+    ops = operators.assemble(mesh, geom, CST, bc_mode="dirichlet", domain=dom)
+    fq = ops.free_quadrature(dom.interior_set)
+    assert (fq._cells < 0).any()
+    want = _unique_pattern(fq._cells, fq.nf)
+    for name, value in want.items():
+        assert np.array_equal(getattr(fq._pattern, name), value), name
 
 
 def _interior_rows_equal(got, want, interior):

@@ -75,6 +75,28 @@ def test_kw_obstruction_zero_for_constant_targets():
         assert sph.kw_obstruction(const, one, H, ops) == 0.0
 
 
+def test_obstructions_match_batched_inverse():
+    # the closed-form metric inverse against np.linalg.inv, the path before it
+    mesh, geom = preset("round-s3", 2)
+    ops = assembled("round-s3", 2)
+    x = mesh.vertices
+    S = ScalarField(2.0 + x[:, 0] + 0.5 * x[:, 1] * x[:, 2], mesh.mesh_id)
+    u = ScalarField(1.0 + 0.3 * x[:, 3] ** 2, mesh.mesh_id)
+    a = np.array([1.0, -0.5, 0.25, 2.0])
+    ginv = np.linalg.inv(geom.metric)
+    gS = np.einsum("cd,tc->td", sph.BARY_GRAD, S.values[mesh.tets])
+    up = np.abs(ops.quad_values(u.values)) ** ops.constants.p
+    for H in sph.coordinate_fields(mesh):
+        gH = np.einsum("cd,tc->td", sph.BARY_GRAD, H.values[mesh.tets])
+        inner = np.einsum("td,tqde,te->tq", gH, ginv, gS) * up
+        want = ops.integrate(inner)
+        # three of the four integrals cancel to rounding level: scale by |integrand|
+        assert abs(sph.kw_obstruction(S, u, H, ops) - want) <= 1e-12 * ops.integrate(abs(inner))
+    mag = np.sqrt(np.maximum(np.einsum("td,tqde,te->tq", gS, ginv, gS), 0.0))
+    want = float(np.linalg.norm(a)) * ops.integrate(mag)
+    assert abs(sph.be_scale(S, a, ops) - want) <= 1e-12 * want
+
+
 def test_be_obstruction_rejects_zero_direction():
     mesh, geom = preset("round-s3", 1)
     ops = assembled("round-s3", 1)
