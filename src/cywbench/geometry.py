@@ -501,12 +501,12 @@ def _round_s3_geometry_arrays(mesh: Mesh):
     E = tet_edge_matrices(mesh)  # (nt, 4, 3)
     nq = TET_QP.shape[0]
     metric = np.empty((mesh.num_tets, nq, 3, 3))
+    ExE = np.einsum("tki,tkj->tij", E, E)  # independent of the quadrature point
     for q in range(nq):
         lam = TET_QP[q]
         xq = np.einsum("c,tcd->td", lam, x)  # (nt, 4)
         r2 = np.einsum("td,td->t", xq, xq)
         # projector (I - xhat xhat^T)/|x|^2 applied between edge columns
-        ExE = np.einsum("tki,tkj->tij", E, E)
         Ex = np.einsum("tk,tkj->tj", xq, E)  # (nt, 3)
         metric[:, q] = (ExE - Ex[:, :, None] * Ex[:, None, :] / r2[:, None, None]) / r2[
             :, None, None

@@ -203,6 +203,7 @@ def scale_eigenfunction(
     Uses the inequality eta_1 * min phi > 2 * 2^{p-2} theta^{p-2} * max S *
     (max phi)^{p-1} (factor-2 margin), then verifies the lumped rows
     vertexwise and keeps halving theta until they are strictly positive.
+    Raises an ``eigen`` ``PipelineError`` when 200 halvings do not get there.
     """
     if eig.eigenvalue <= 0:
         raise ValueError("first eigenvalue must be positive for the scaling")
@@ -226,7 +227,12 @@ def scale_eigenfunction(
             break
         m += 1
     else:
-        raise RuntimeError("could not scale the eigenfunction to a super-solution")
+        raise PipelineError(
+            "eigen",
+            f"could not scale the eigenfunction to a super-solution: the lumped "
+            f"rows of theta*phi stay nonpositive somewhere after halving theta "
+            f"200 times (lumped eta_1 = {eig.eigenvalue:.6g})",
+        )
     return theta, ScalarField(
         phi_s, eig.eigenfunction.mesh_id, {"theta": theta, "eigenvalue": eig.eigenvalue}
     )
@@ -837,7 +843,8 @@ def prescribe(
                     f"{thresholds.metadata['T_used']:.6g}",
                 )
             trace = _local.beta_continuation(
-                mesh, domain, work_geom, cst, lam, -0.1, ops=dir_ops
+                mesh, domain, work_geom, cst, lam, -0.1, ops=dir_ops,
+                gate=thresholds
             )
             local = trace.metadata.get("beta_zero_solution") or trace.solutions[-1]
     except PipelineError:

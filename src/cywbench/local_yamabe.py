@@ -4,12 +4,20 @@ The local problem on a domain Omega is
 
     a*(-Laplace_g) u + (R_g + beta) u = lambda * u^{p-1},   u = 0 on the frontier,
 
-solved by constrained quotient minimization over the unit L^p sphere, a
-bordered Newton on the constrained system and a Newton polish; both Newton
-solves are ``operators.damped_newton`` with a positivity clamp, and their
-statuses go into the solution metadata.  The energy gate compares the
-test-function quotient Q_eps against a discrete Sobolev-quotient estimate
-T_est and admits the solve only when Q_eps < T_used.
+solved by a projected gradient on the unit L^p sphere, a bordered Newton on
+the constrained system and a Newton polish.  The projected gradient converges
+only linearly, so it stops as soon as its relative constrained residual is
+below ``HANDOFF_RESIDUAL`` and leaves the rest to the bordered Newton, which
+converges quadratically from there (Deuflhard, *Newton Methods for Nonlinear
+Problems*, 2004).  Both Newton solves are ``operators.damped_newton`` with a
+positivity clamp, and their statuses go into the solution metadata.  The
+continuation in beta starts each step after the second, and the beta = 0
+polish, from a secant prediction along the solution path (Allgower and
+Georg, *Introduction to Numerical Continuation Methods*, 2003); a prediction
+that already meets the Newton test is accepted with 0 Newton steps.  The
+energy gate compares the test-function quotient Q_eps against a discrete
+Sobolev-quotient estimate T_est and admits the solve only when Q_eps <
+T_used.
 
 Every test function, iterate and Newton step vanishes off the interior
 vertices of Omega.  The quadrature therefore runs only over the tets that
@@ -51,6 +59,8 @@ __all__ = [
 ]
 
 GATE_SAFETY = 0.99
+# projected gradient hands off to Newton once ||Au - J F|| <= this * ||Au||
+HANDOFF_RESIDUAL = 1e-2
 EPS_SWEEP = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
 BETA_RATIO = 0.5  # beta_continuation's step: beta_k = beta0 * BETA_RATIO^k
 
@@ -292,7 +302,12 @@ def _solve_critical(
     Solves  A u = N(u)  with  A = a K + M_R + beta M  (restricted rows) and
     N(u) = consistent load of lam*S*|u|^{p-2}u.  Iterates live on ``free``
     and vanish elsewhere, so every quadrature sweeps only the tets that
-    touch ``free``.  Returns (u_full, info).
+    touch ``free``.  Unless ``newton_only``, a projected gradient on the
+    weighted unit L^p sphere runs until ||Au - J F|| <= HANDOFF_RESIDUAL *
+    ||Au|| in the lumped dual norm (J the quotient, F the load), or until it
+    stalls, and the bordered Newton takes over from there.  The polish
+    accepts ``init`` with 0 Newton steps when it already meets the
+    residual test.  Returns (u_full, info).
     """
     p = ops.constants.p
     fq = ops.free_quadrature(free)
@@ -331,14 +346,17 @@ def _solve_critical(
         u /= den ** (1.0 / p)
         t = 1.0
         J_prev = None
-        for _ in range(300):
+        for steps in range(300):
             Au = A @ u
             J = float(u @ Au)
             F = Nload(u)
             if J_prev is not None and J_prev - J < 1e-12 * max(abs(J), 1.0):
                 break
             J_prev = J
-            grad = 2.0 * (Au - J * F)
+            r = Au - J * F
+            if dual_norm(r, mL) <= HANDOFF_RESIDUAL * dual_norm(Au, mL):
+                break
+            grad = 2.0 * r
             step = t
             improved = False
             for _ in range(40):
@@ -356,6 +374,7 @@ def _solve_critical(
                 step *= 0.5
             if not improved:
                 break
+        info["gradient_steps"] = steps
         Q_min = float(u @ (A @ u)) / weighted_p_integral(u) ** (2.0 / p)
         info["Q_min"] = Q_min
         if Q_min <= 0:
@@ -478,6 +497,17 @@ def solve_perturbed(
     return ScalarField(u, mesh.mesh_id, meta)
 
 
+def _secant(betas: list, sols: list, beta_new: float) -> ScalarField:
+    """Secant prediction of the solution at ``beta_new`` from the last two.
+
+    u_k + (beta_new - beta_k)/(beta_k - beta_{k-1}) * (u_k - u_{k-1}),
+    clamped at 0; both solutions vanish off the interior, so it does too.
+    """
+    u1, u0 = sols[-1].values, sols[-2].values
+    t = (beta_new - betas[-1]) / (betas[-1] - betas[-2])
+    return ScalarField(np.maximum(u1 + t * (u1 - u0), 0.0), sols[-1].mesh_id)
+
+
 def beta_continuation(
     mesh: Mesh,
     domain: Domain,
@@ -486,17 +516,27 @@ def beta_continuation(
     lam: float,
     beta0: float,
     ops: Optional[AssembledOperators] = None,
+    gate: Optional[EnergyThresholds] = None,
 ) -> ContinuationTrace:
-    """Warm-started continuation beta_k = beta0 * BETA_RATIO^k toward 0^-.
+    """Continuation beta_k = beta0 * BETA_RATIO^k toward 0^-.
 
-    Stops when |beta| < 1e-6 and the last two solutions differ by at most
-    1e-8 in max norm.  The L^p norms are monitored against the gate-derived
-    bound; exceeding 10x the bound aborts with a concentration error.
+    The first solve starts from the gate's best bubble, the second from the
+    first solution, and every later one, like the closing beta = 0 polish,
+    from the clamped secant prediction through the last two solutions; a
+    prediction that already meets the Newton test is accepted with 0 Newton
+    steps.  Stops when |beta| < 1e-6 and the last two solutions differ by at
+    most 1e-8 in max norm.  The L^p norms are monitored against the
+    gate-derived bound; exceeding 10x the bound aborts with a concentration
+    error.  ``gate`` is the energy gate at (lam, beta0) when the caller has
+    it; it is computed otherwise.
     """
     if beta0 >= 0:
         raise ValueError("beta0 must be < 0")
     ops = _get_ops(mesh, domain, geom, constants, ops)
-    gate = energy_gate(mesh, domain, geom, constants, lam, beta0, ops=ops)
+    if gate is None:
+        gate = energy_gate(mesh, domain, geom, constants, lam, beta0, ops=ops)
+    elif (gate.metadata["beta"], gate.metadata["lambda"]) != (beta0, lam):
+        raise ValueError("gate was computed at another beta0 or lambda")
     if not gate.gate_pass and not gate.metadata.get("advisory_only", False):
         raise RuntimeError("energy gate failed at beta0")
     cst = constants
@@ -559,14 +599,16 @@ def beta_continuation(
             if abs(beta) < 1e-6 and tail <= 1e-8:
                 converged = True
                 break
+        beta_next = beta * BETA_RATIO
+        current = sol if prev is None else _secant(betas, sols, beta_next)
         prev = sol
-        current = sol
-        beta = beta * BETA_RATIO
+        beta = beta_next
     beta_zero = None
     if converged:
         # record the unperturbed local solution: one Newton polish at beta = 0
         u0, info0 = _solve_critical(
-            ops, free, 0.0, lam, None, sols[-1].values, newton_only=True
+            ops, free, 0.0, lam, None, _secant(betas, sols, 0.0).values,
+            newton_only=True
         )
         if u0[free].min() > 0:
             beta_zero = ScalarField(u0, mesh.mesh_id, info0)

@@ -441,6 +441,19 @@ def test_prescribe_empty_local_domain_exit_two(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def test_prescribe_eigen_scaling_failure_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text("[run]\npreset = flat-t3\nrefinement = 1\n"
+                   "[S]\nkind = admissible\nbase = 2 + sin(2*pi*x)\n"
+                   "level = 1.0\nregion = ball(0.5,0.5,0.5,0.45)\n")
+    code = cli.main(["prescribe", "--config", str(cfg), "--output-dir",
+                     str(tmp_path / "out")])
+    assert code == cli.EXIT_ITERATION
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline failure: [eigen] could not scale the eigenfunction")
+    assert "Traceback" not in err
+
+
 def _admissible_cfg(tmp_path, base):
     cfg = tmp_path / "deep.cfg"
     cfg.write_text("[run]\npreset = bump-t3\nrefinement = 0\n"

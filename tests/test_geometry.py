@@ -45,6 +45,26 @@ def test_round_s3_vertices_unit():
     assert np.all(geom.scalar_curvature.values == 6.0)
 
 
+def test_round_s3_geometry_matches_per_quadrature_point_form():
+    # the form that recomputed E^T E at every quadrature point
+    mesh, _ = preset("round-s3", 2)
+    x = mesh.tet_corner_coords()
+    E = geometry.tet_edge_matrices(mesh)
+    metric = np.empty((mesh.num_tets, len(geometry.TET_QP), 3, 3))
+    for q, lam in enumerate(geometry.TET_QP):
+        xq = np.einsum("c,tcd->td", lam, x)
+        r2 = np.einsum("td,td->t", xq, xq)
+        ExE = np.einsum("tki,tkj->tij", E, E)
+        Ex = np.einsum("tk,tkj->tj", xq, E)
+        metric[:, q] = (ExE - Ex[:, :, None] * Ex[:, None, :] / r2[:, None, None]) / r2[
+            :, None, None
+        ]
+    got_metric, got_density, boundary = geometry._round_s3_geometry_arrays(mesh)
+    assert np.array_equal(got_metric, metric)
+    assert np.array_equal(got_density, np.sqrt(np.linalg.det(metric)))
+    assert boundary is None
+
+
 def test_round_s3_volume_converges():
     # vol(S^3) = 2 pi^2; the chordal simplices underestimate but converge
     from conftest import assembled

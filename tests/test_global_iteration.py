@@ -281,8 +281,8 @@ def test_report_to_text_roundtrip_determinism():
     assert "\n".join(with_ts.splitlines()[:1] + with_ts.splitlines()[2:]) + "\n" == t1
 
 
-def _bump_admissible_target(radius):
-    mesh, geom = preset("bump-t3", 1)
+def _bump_admissible_target(radius, preset_id="bump-t3"):
+    mesh, geom = preset(preset_id, 1)
     center = np.array([0.5, 0.5, 0.5])
     region = geometry.extract_subdomain(
         mesh, lambda v: np.einsum("ij,ij->i", v - center, v - center) < radius**2)
@@ -329,6 +329,46 @@ def test_eigen_refusal_names_the_normalization_sign_flip():
     assert match, str(err.value)
     after, before = map(float, match.groups())
     assert after < -4e4 and before > 0
+
+
+def test_prescribe_tags_eigenfunction_scaling_failure():
+    # on the flat torus the lumped first eigenvalue is zero up to rounding,
+    # so no dyadic theta makes theta*phi a strict super-solution
+    mesh, geom, S = _bump_admissible_target(0.45, "flat-t3")
+    with pytest.raises(gi.PipelineError) as err:
+        gi.prescribe(mesh, geom, S)
+    assert err.value.stage == "eigen"
+    match = re.fullmatch(
+        r"\[eigen\] could not scale the eigenfunction to a super-solution: the lumped rows "
+        r"of theta\*phi stay nonpositive somewhere after halving theta 200 times "
+        r"\(lumped eta_1 = (\S+)\)", str(err.value))
+    assert match, str(err.value)
+    assert abs(float(match.group(1))) < 1e-9
+
+
+def test_prescribe_runs_the_energy_gate_once(monkeypatch):
+    mesh, geom, S = _bump_admissible_target(0.45)
+    gate, continuation, calls = gi._local.energy_gate, gi._local.beta_continuation, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[5])
+        return gate(*args, **kwargs)
+
+    def recomputing(*args, gate=None, **kwargs):
+        return continuation(*args, **kwargs)
+
+    def report_text():
+        with pytest.raises(gi.PipelineError) as err:
+            gi.prescribe(mesh, geom, S)
+        return gi.report_to_text(err.value.report, timestamp=False)
+
+    monkeypatch.setattr(gi._local, "energy_gate", counted)
+    text = report_text()
+    assert calls == [-0.1]
+    # the text is that of a continuation that computes its own gate
+    monkeypatch.setattr(gi._local, "beta_continuation", recomputing)
+    assert report_text() == text
+    assert calls == [-0.1] * 3
 
 
 @functools.lru_cache(maxsize=None)

@@ -180,3 +180,86 @@ def test_polish_failure_names_newton_status(gate_setup, monkeypatch):
     with pytest.raises(RuntimeError, match=r"Newton polish singular after 0 steps"):
         local_yamabe.solve_perturbed(mesh, dom, geom, CST, 1.0, -0.1, init,
                                      ops=ops, require_gate=False, newton_only=True)
+
+
+# the local-solve benchmark inputs: a ball around each preset's marked centre
+LOCAL_SOLVE_CASES = {"ball-negR": 0.55, "bump-t3": 0.40}
+
+
+@pytest.fixture(scope="module")
+def local_solve_traces():
+    """Per local-solve case: inputs, the continuation, and its full-stall oracle.
+
+    The oracle runs with ``HANDOFF_RESIDUAL = 0``, so its projected gradient
+    only stops on an energy stall or a failed line search, before the Newton.
+    """
+    out = {}
+    for preset_id, radius in LOCAL_SOLVE_CASES.items():
+        mesh, geom = preset(preset_id, 2)
+        center = np.asarray(geom.metadata["marked_region_center"])
+        dom = geometry.extract_subdomain(
+            mesh, lambda v: np.einsum("ij,ij->i", v - center, v - center) < radius**2)
+        ops = _dirichlet_ops(mesh, geom, dom)
+        trace = local_yamabe.beta_continuation(mesh, dom, geom, CST, 1.0, -0.1, ops=ops)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(local_yamabe, "HANDOFF_RESIDUAL", 0.0)
+            oracle = local_yamabe.beta_continuation(mesh, dom, geom, CST, 1.0, -0.1,
+                                                    ops=ops)
+        out[preset_id] = (mesh, geom, dom, ops, trace, oracle)
+    return out
+
+
+@pytest.mark.parametrize("preset_id", sorted(LOCAL_SOLVE_CASES))
+def test_gradient_handoff_matches_full_stall_gradient(local_solve_traces, preset_id):
+    *_, trace, oracle = local_solve_traces[preset_id]
+    first, first_oracle = trace.solutions[0].metadata, oracle.solutions[0].metadata
+    assert first["gradient_steps"] < first_oracle["gradient_steps"]
+    assert abs(first["Q_min"] - first_oracle["Q_min"]) <= 1e-10 * first_oracle["Q_min"]
+    u0 = trace.metadata["beta_zero_solution"].values
+    v0 = oracle.metadata["beta_zero_solution"].values
+    assert np.abs(u0 - v0).max() <= 1e-10 * np.abs(v0).max()
+
+
+@pytest.mark.parametrize("preset_id", sorted(LOCAL_SOLVE_CASES))
+def test_late_continuation_steps_take_no_newton_step(local_solve_traces, preset_id):
+    *_, trace, _ = local_solve_traces[preset_id]
+    late = [sol.metadata["newton_iterations"]
+            for beta, sol in zip(trace.betas, trace.solutions) if abs(beta) <= 1e-4]
+    assert late and late == [0] * len(late)
+    # the beta = 0 polish starts from the secant prediction too
+    assert trace.metadata["beta_zero_solution"].metadata["newton_iterations"] == 0
+
+
+def test_secant_prediction_is_clamped_and_accepted(local_solve_traces):
+    mesh, geom, dom, ops, trace, _ = local_solve_traces["ball-negR"]
+    u = trace.solutions[2].values
+    # raise the older solution on the interior layer next to the frontier, so
+    # the extrapolation u + 0.5 (u - older) = u (1 - 1.5 w) goes negative there
+    graph = mesh.vertex_graph()
+    near = np.intersect1d(graph[dom.frontier_set].indices, dom.interior_set)
+    w = np.zeros(mesh.num_vertices)
+    w[near] = 1.0
+    older = ScalarField(u * (1.0 + 3.0 * w), mesh.mesh_id)
+    betas = [-0.1, -0.05]
+    assert (u + 0.5 * (u - older.values)).min() < 0
+    pred = local_yamabe._secant(betas, [older, ScalarField(u, mesh.mesh_id)], -0.025)
+    assert pred.values.min() == 0.0 and np.all(pred.values[near] == 0.0)
+    assert np.all(pred.values[dom.frontier_set] == 0.0)
+    sol = local_yamabe.solve_perturbed(mesh, dom, geom, CST, 1.0, -0.025, pred, ops=ops,
+                                       require_gate=False, newton_only=True)
+    assert sol.values[dom.interior_set].min() > 0
+    assert sol.metadata["newton_status"] == "converged"
+
+
+def test_beta_continuation_uses_the_callers_gate(gate_setup, monkeypatch):
+    mesh, geom, dom, ops, gate = gate_setup
+    with pytest.raises(ValueError, match="another beta0 or lambda"):
+        local_yamabe.beta_continuation(mesh, dom, geom, CST, 1.0, -0.2, ops=ops, gate=gate)
+
+    def no_gate(*args, **kwargs):
+        raise AssertionError("the caller's gate is recomputed")
+
+    monkeypatch.setattr(local_yamabe, "energy_gate", no_gate)
+    trace = local_yamabe.beta_continuation(mesh, dom, geom, CST, 1.0, -0.1, ops=ops,
+                                           gate=gate)
+    assert trace.converged and trace.metadata["gate_Q_eps"] == gate.Q_eps
