@@ -565,7 +565,6 @@ def beta_continuation(
     fq = ops.free_quadrature(free)
     betas, sols, lps, proxies = [], [], [], []
     beta = beta0
-    prev = None
     current = init
     converged = False
     for k in range(10_000):
@@ -594,15 +593,13 @@ def beta_continuation(
                 f"concentration failure: L^p mass {lp_p:.6g} exceeds 10x the "
                 f"monitor bound {lp_bound:.6g}"
             )
-        if prev is not None:
-            tail = float(np.abs(sol.values - prev.values).max())
+        if k > 0:
+            tail = float(np.abs(sol.values - sols[-2].values).max())
             if abs(beta) < 1e-6 and tail <= 1e-8:
                 converged = True
                 break
-        beta_next = beta * BETA_RATIO
-        current = sol if prev is None else _secant(betas, sols, beta_next)
-        prev = sol
-        beta = beta_next
+        beta *= BETA_RATIO
+        current = sol if k == 0 else _secant(betas, sols, beta)
     beta_zero = None
     if converged:
         # record the unperturbed local solution: one Newton polish at beta = 0
