@@ -127,18 +127,6 @@ def _lumped_jacobian(ops: AssembledOperators, u: np.ndarray, S: np.ndarray):
     return (ops.constants.a * ops.stiffness + diags(d)).tocsc()
 
 
-def _factor(ops: AssembledOperators, A):
-    """Solve with ``A`` factored in the operators' cached symmetric order.
-
-    ``A`` has the stiffness pattern plus the diagonal.  It is permuted
-    symmetrically into ``ops.symmetric_order()`` and factored there by
-    ``operators.ordered_factor``; the returned solve takes and gives vectors
-    in vertex numbering.
-    """
-    q = ops.symmetric_order()
-    return _operators.ordered_factor(splu, A[q][:, q].tocsc(), q)
-
-
 def _strong_residual(ops: AssembledOperators, u: np.ndarray, S: np.ndarray):
     return _lumped_rows(ops, u, S) / ops.mass_lumped
 
@@ -346,7 +334,7 @@ def glue_supersolution(
         return r, dual_norm(r, mL)
 
     def newton_step(u, r):
-        return _factor(ops, _lumped_jacobian(ops, u, Sv))(-r)
+        return ops.factor(_lumped_jacobian(ops, u, Sv), splu)(-r)
 
     def mollified(f):
         return _geometry.mollify(ScalarField(f, mesh.mesh_id), mesh, config.mollifier_width).values
@@ -488,7 +476,7 @@ def monotone_iterate(
 
     for k_round in range(2):
         A = ops.add_robin(cst.a * ops.stiffness + diags(mL * (Rv + k)), lumped=True)
-        solve = _factor(ops, A)
+        solve = ops.factor(A, splu)
         u = um.copy()
         iterates = [ScalarField(u.copy(), u_minus.mesh_id)]
         residuals = [float(np.abs(_strong_residual(ops, u, Sv)).max())]
@@ -852,28 +840,9 @@ def prescribe(
     except (ValueError, RuntimeError) as err:
         raise PipelineError("local-solve", str(err)) from err
 
+    u_minus = make_subsolution(local, domain, work_ops, S)
     eig = _operators.first_eigenpair(
         work_ops, mass="lumped", operator="conformal-lumped"
-    )
-    if eig.eigenvalue <= 0:
-        message = f"first eigenvalue {eig.eigenvalue:.6g} not positive on this route"
-        for v in factors:
-            where = f" at vertex {v.metadata['vertex']}" if "vertex" in v.metadata else ""
-            message += (f"; the {v.metadata['branch']} normalization factor{where} was "
-                        f"applied at consistent eigenvalue {v.metadata['eta_before']:.6g}")
-        if factors:
-            message += ("; the continuous problem keeps the sign of the first "
-                        "eigenvalue under conformal change")
-        raise PipelineError("eigen", message)
-    u_minus = make_subsolution(local, domain, work_ops, S)
-    theta, phi_s = scale_eigenfunction(eig, S, work_ops)
-    config.theta = theta
-    # margin beta = max over the region of (eta_1 phi - 2^{p-2} lam phi^{p-1})
-    config.beta_margin = float(
-        (
-            eig.eigenvalue * phi_s.values
-            - 2.0 ** (cst.p - 2.0) * lam * phi_s.values ** (cst.p - 1.0)
-        )[domain.vertex_set].max()
     )
 
     def _failure_report(stage, message):
@@ -894,6 +863,25 @@ def prescribe(
         )
 
     try:
+        if eig.eigenvalue <= 0:
+            message = f"first eigenvalue {eig.eigenvalue:.6g} not positive on this route"
+            for v in factors:
+                where = f" at vertex {v.metadata['vertex']}" if "vertex" in v.metadata else ""
+                message += (f"; the {v.metadata['branch']} normalization factor{where} was "
+                            f"applied at consistent eigenvalue {v.metadata['eta_before']:.6g}")
+            if factors:
+                message += ("; the continuous problem keeps the sign of the first "
+                            "eigenvalue under conformal change")
+            raise PipelineError("eigen", message)
+        theta, phi_s = scale_eigenfunction(eig, S, work_ops)
+        config.theta = theta
+        # margin beta = max over the region of (eta_1 phi - 2^{p-2} lam phi^{p-1})
+        config.beta_margin = float(
+            (
+                eig.eigenvalue * phi_s.values
+                - 2.0 ** (cst.p - 2.0) * lam * phi_s.values ** (cst.p - 1.0)
+            )[domain.vertex_set].max()
+        )
         u_plus = glue_supersolution(local, phi_s, domain, config, work_ops, S)
         ineq = verify_inequalities(u_minus, u_plus, S, work_ops)
         if not ineq["pass"]:

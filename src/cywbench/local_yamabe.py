@@ -24,9 +24,11 @@ vertices of Omega.  The quadrature therefore runs only over the tets that
 touch an interior vertex (``operators.FreeQuadrature``), on interior-sized
 vectors; the other tets contribute exactly 0.  The operator and every
 Jacobian are data arrays on that object's fixed interior pattern, and the
-torsion seed and the Newton polish factor them in the pattern's cached
-minimum-degree order (``FreeQuadrature.factor``); the bordered step,
-one row and column larger, keeps SuperLU's own order.
+torsion seed, the bordered step and the Newton polish factor them in the
+pattern's cached minimum-degree order (``FreeQuadrature.factor``).  The
+bordered step eliminates its border row and column by two solves with one
+factorization of the Jacobian (Keller, *Lectures on Numerical Methods in
+Bifurcation Problems*, 1987).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import bmat, csc_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import splu
 
@@ -394,11 +395,12 @@ def _solve_critical(
             return (r1, r2, F), math.sqrt(dual_norm(r1, mL) ** 2 + r2**2)
 
         def bordered_step(x, r):
+            # [J -F; p F^T 0] (du, dmu) = -(r1, r2) by block elimination
             r1, r2, F = r
-            J = fq.matrix(jacobian(x[:-1], x[-1]))
-            B = bmat([[J, csc_matrix(-F[:, None])],
-                      [csc_matrix(p * F[None, :]), None]]).tocsc()
-            return splu(B).solve(np.concatenate([-r1, [-r2]]))
+            solve = fq.factor(jacobian(x[:-1], x[-1]), splu)
+            du, dv = solve(-r1), solve(F)
+            dmu = -(r2 + p * (F @ du)) / (p * (F @ dv))
+            return np.append(du + dmu * dv, dmu)
 
         def clamp_u(x):
             x[:-1], clamped = _clamp_negative(x[:-1])

@@ -15,24 +15,20 @@ Conventions
   under ``bc_mode='robin'`` only.  It adds the term last, so every form
   keeps one order of operations.  ``apply_conformal_laplacian_vec`` stays
   Robin-free, because ``conformal_change`` removes the boundary flux itself.
-* ``AssembledOperators.symmetric_order`` is a minimum-degree elimination
-  order of the stiffness pattern (SuperLU's ``MMD_AT_PLUS_A``), computed on
-  first use and cached as an index array.  The global stage factors its
-  gluing Jacobians and iteration matrices in it
-  (``global_iteration._factor``), because those matrices have the stiffness
-  pattern plus the diagonal.
+* Repeated solves factor in their owner's cached minimum-degree order
+  (SuperLU's ``MMD_AT_PLUS_A``, computed on first use): the global stage's
+  gluing Jacobians and iteration matrices, which have the stiffness pattern
+  plus the diagonal, through ``AssembledOperators.factor``, and the free x
+  free blocks through ``FreeQuadrature.factor``.  One-shot solves use
+  SuperLU's own order, since a cached order would cost them an extra LU.
 * ``FreeQuadrature`` builds, once per free set, the sparse P1 interpolation
   matrix P from free-sized vectors to the active quadrature points
   (entries ``TET_QP[q, c]``), so quadrature values are P u and the
   nonlinear load is P^T of the weighted samples.  Its free x free matrices
   share one CSR pattern, a ``_PairPattern`` of the active tets with the
-  non-free corners left out, and are filled as data arrays; ``factor``
-  factors one in the pattern's minimum-degree order (``_symmetric_lu`` of
-  the restricted mass).  The pattern, the restricted blocks and the order are
-  built on first use, so quadrature-only callers skip them.
-  ``local_yamabe`` uses P in every quadrature sweep and the order for its
-  torsion seed and Newton polish.  Both stages factor through
-  ``ordered_factor``.
+  non-free corners left out, and are filled as data arrays.  The pattern,
+  the restricted blocks and the order are built on first use, so
+  quadrature-only callers skip them.
 * Lumped diagonals are kept alongside: pointwise field operators use the
   lumped pair (diagonal inverse), spectra and quotients use the consistent
   matrices.  The L^p norm is always the order-2 quadrature of the P1
@@ -82,7 +78,6 @@ __all__ = [
     "assemble",
     "damped_newton",
     "dual_norm",
-    "ordered_factor",
     "apply_conformal_laplacian",
     "first_eigenpair",
     "yamabe_quotient",
@@ -163,7 +158,6 @@ class AssembledOperators:
     boundary_mass_lumped: Optional[np.ndarray]
 
     _free_quadratures: dict = field(default_factory=dict, init=False, repr=False)
-    _symmetric_order: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     # ---- structure -------------------------------------------------------
 
@@ -238,17 +232,17 @@ class AssembledOperators:
             self._free_quadratures[key] = FreeQuadrature(self, free)
         return self._free_quadratures[key]
 
-    def symmetric_order(self) -> np.ndarray:
-        """Minimum-degree elimination order of the stiffness pattern, built once.
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """Minimum-degree elimination order of K + I (``_symmetric_lu``):
+        entry j is the vertex eliminated j-th."""
+        return np.argsort(_symmetric_lu(self.stiffness + identity(self.num_vertices)).perm_c)
 
-        Entry j is the vertex eliminated j-th when K + I is factored in the
-        order ``_symmetric_lu`` chooses; it fits every matrix with the
-        stiffness pattern plus the diagonal.
-        """
-        if self._symmetric_order is None:
-            lu = _symmetric_lu(self.stiffness + identity(self.num_vertices))
-            self._symmetric_order = np.argsort(lu.perm_c)
-        return self._symmetric_order
+    def factor(self, A, splu):
+        """Solve with ``A``, which has the stiffness pattern plus the diagonal,
+        factored by ``splu`` in the cached order (see :func:`_ordered_lu`)."""
+        q = self._order
+        return _ordered_lu(splu, A[q][:, q].tocsc(), q)
 
     # ---- pointwise operators ----------------------------------------------
 
@@ -357,13 +351,13 @@ class FreeQuadrature:
 
     def factor(self, data: np.ndarray, splu):
         """Solve with the matrix of ``data``, factored by ``splu`` in the
-        pattern's cached minimum-degree order (see :func:`ordered_factor`)."""
+        pattern's cached minimum-degree order (see :func:`_ordered_lu`)."""
         q, perm, indices, indptr = self._order
         A_q = csc_matrix((data[perm], indices, indptr), shape=(self.nf, self.nf))
-        return ordered_factor(splu, A_q, q)
+        return _ordered_lu(splu, A_q, q)
 
 
-def ordered_factor(splu, A_q, q: np.ndarray):
+def _ordered_lu(splu, A_q, q: np.ndarray):
     """Solve with ``A_q`` factored by ``splu`` in the order it is given.
 
     ``A_q`` is a square matrix with a symmetric pattern, permuted

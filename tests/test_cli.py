@@ -452,6 +452,8 @@ def test_prescribe_eigen_scaling_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("pipeline failure: [eigen] could not scale the eigenfunction")
     assert "Traceback" not in err
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "failed_stage 'eigen'" in report.splitlines()
 
 
 def _admissible_cfg(tmp_path, base):

@@ -168,7 +168,7 @@ def test_factor_matches_dense_solve_with_less_fill(preset_id, bc_mode, monkeypat
         return factors[-1]
 
     monkeypatch.setattr(gi, "splu", recorded)
-    x = gi._factor(ops, A)(b)
+    x = ops.factor(A, gi.splu)(b)
     dense = np.linalg.solve(A.toarray(), b)
     assert np.linalg.norm(x - dense) <= 1e-12 * np.linalg.norm(dense)
     # the cached minimum-degree order fills in less than COLAMD on A itself
@@ -189,12 +189,12 @@ def test_symmetric_order_is_computed_once(monkeypatch):
 
     monkeypatch.setattr(operators, "splu", counted)
     A, b = _gluing_jacobian(ops)
-    first = gi._factor(ops, A)(b)
-    second = gi._factor(ops, A)(b)
+    first = ops.factor(A, gi.splu)(b)
+    order = ops._order
+    second = ops.factor(A, gi.splu)(b)
     assert calls == ["MMD_AT_PLUS_A"]
     assert np.array_equal(first, second)
-    order = ops.symmetric_order()
-    assert order is ops.symmetric_order()
+    assert order is ops._order
     assert np.array_equal(np.sort(order), np.arange(ops.num_vertices))
 
 
@@ -321,6 +321,7 @@ def test_eigen_refusal_names_the_normalization_sign_flip():
     with pytest.raises(gi.PipelineError) as err:
         gi.prescribe(mesh, geom, S)
     assert err.value.stage == "eigen"
+    assert err.value.report.verification["failed_stage"] == "eigen"
     match = re.fullmatch(
         r"\[eigen\] first eigenvalue (\S+) not positive on this route; the dimple "
         r"normalization factor at vertex 101 was applied at consistent eigenvalue (\S+); "

@@ -58,3 +58,35 @@ def test_traced_global_factorizations():
     assert "superlu.solve:global_iteration" in names
     # the symmetric order is the operators' own factorization
     assert names.count("superlu.factor:operators") == 1
+
+
+def test_traced_local_solve_factors_only_the_free_block(monkeypatch):
+    from cywbench import geometry, local_yamabe, operators
+    from cywbench.constants import DimensionConstants
+
+    tracing = _load_tracing()
+    mesh, geom = geometry.build_preset("ball-negR", 1)
+    dom = geometry.extract_subdomain(
+        mesh, lambda v: np.einsum("ij,ij->i", v, v) < 0.55**2)
+    cst = DimensionConstants(3)
+    ops = operators.assemble(mesh, geom, cst, bc_mode="dirichlet", domain=dom)
+    init = np.zeros(mesh.num_vertices)
+    init[dom.interior_set] = 1.0
+    rows = []
+    for owner in (local_yamabe, operators):
+        def sized(A, *args, _splu=owner.splu, **kwargs):
+            rows.append(A.shape[0])
+            return _splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "splu", sized)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        local_yamabe.solve_perturbed(mesh, dom, geom, cst, 1.0, -0.1,
+                                     geometry.ScalarField(init, mesh.mesh_id),
+                                     ops=ops, require_gate=False)
+    factors = [span[0] for span in tracer.spans if span[0].startswith("superlu.factor:")]
+    # the free order is the operators' one factorization, every other the caller's
+    assert factors.count("superlu.factor:operators") == 1
+    assert factors.count("superlu.factor:local_yamabe") == len(factors) - 1 > 1
+    # the bordered step factors the free block, not one row and column more
+    assert rows == [len(dom.interior_set)] * len(factors)
