@@ -9,7 +9,8 @@ Subcommands::
     cywbench prescribe           full prescription pipeline
     cywbench check condition-a   antipodal symmetry check of a target field
     cywbench check obstructions  integral obstructions of a solved target
-    cywbench bench               run a config matrix with per-stage timings
+    cywbench bench               run configs; one row each: config, vertices,
+                                 status, wall-clock seconds
 
 Configuration files are structured text: ``[section]`` headers and one
 ``key = value`` assignment per line (``#`` comments allowed).  Expression
@@ -236,9 +237,26 @@ def _int(section: dict, key: str, default=None) -> int:
         raise ConfigError(f"key {key!r}: {section[key]!r} is not an integer")
 
 
+_RUN_KEYS = ("preset", "refinement", "bc_mode", "output_dir")
+_S_KEYS = {
+    "constant": ("kind", "level"),
+    "admissible": ("kind", "base", "region", "level", "width"),
+    "named": ("kind", "name"),
+}
+
+
+def _check_keys(where: str, keys, allowed) -> None:
+    unknown = [k for k in keys if k not in allowed]
+    if unknown:
+        raise ConfigError(
+            f"unknown {where} {unknown[0]!r}; allowed: {', '.join(allowed)}")
+
+
 def config_from_sections(sections: dict) -> RunConfig:
-    """Build a RunConfig from parsed config sections."""
+    """Build a RunConfig from parsed config sections; unknown keys are errors."""
+    _check_keys("section", sections, ("run", "S", "tolerances"))
     run_sec = sections.get("run", {})
+    _check_keys("[run] key", run_sec, _RUN_KEYS)
     cfg = RunConfig(
         preset=run_sec.get("preset", "flat-t3"),
         refinement=_int(run_sec, "refinement", 1),
@@ -247,6 +265,9 @@ def config_from_sections(sections: dict) -> RunConfig:
     )
     s_sec = sections.get("S", {"kind": "constant", "level": "1.0"})
     kind = s_sec.get("kind", "constant")
+    if kind not in _S_KEYS:
+        raise ConfigError(f"unknown S kind {kind!r}")
+    _check_keys(f"[S] key for kind {kind}", s_sec, _S_KEYS[kind])
     if kind == "constant":
         cfg.S_spec = {"kind": "constant", "level": _float(s_sec, "level", 1.0)}
     elif kind == "admissible":
@@ -264,8 +285,6 @@ def config_from_sections(sections: dict) -> RunConfig:
         if name not in _NAMED_SPHERE_FUNCTIONS:
             raise ConfigError(f"unknown named sphere function {name!r}")
         cfg.S_spec = {"kind": "named", "name": name}
-    else:
-        raise ConfigError(f"unknown S kind {kind!r}")
     cfg.tolerances = {
         k: _float(sections.get("tolerances", {}), k)
         for k in sections.get("tolerances", {})

@@ -712,15 +712,6 @@ def _pick_region_domain(mesh, geom, S):
         raise PipelineError("route-selection", str(err)) from err
 
 
-def _condition_a_on_field(mesh, S):
-    """CONDITION A for a vertex field, via its callable when available."""
-    func = S.metadata.get("ambient_func")
-    verdict = _sphere.check_condition_a(mesh.vertices, S.values if func is None else func)
-    verdict.metadata["sampler"] = ("nearest-vertex sampler (value relations only)"
-                                   if func is None else "caller-supplied ambient function")
-    return verdict
-
-
 def prescribe(
     mesh: Mesh,
     geom: GeometrySpec,
@@ -742,7 +733,8 @@ def prescribe(
 
     obstructions = None
     if route == "scenario-a-sphere":
-        verdict = _condition_a_on_field(mesh, S)
+        verdict = _sphere.check_condition_a(mesh.vertices, Sv)
+        verdict.metadata["sampler"] = "nearest-vertex sampler (value relations only)"
         if verdict.verdict == "fail":
             report = SolveReport(
                 pipeline_route="scenario-a-sphere",
@@ -811,7 +803,7 @@ def prescribe(
 
     # local stage: a bare solver error becomes a tagged pipeline failure
     try:
-        if route in ("lcf-manifold", "lcf-in-O-manifold-not-lcf"):
+        if route == "lcf-manifold":
             Qf = ScalarField(np.full(mesh.num_vertices, lam), mesh.mesh_id)
             local = _local.solve_flat_punctured(mesh, domain, Qf, work_geom, cst)
             thresholds = None

@@ -4,13 +4,15 @@ The local problem on a domain Omega is
 
     a*(-Laplace_g) u + (R_g + beta) u = lambda * u^{p-1},   u = 0 on the frontier,
 
-solved by a projected gradient on the unit L^p sphere, a bordered Newton on
-the constrained system and a Newton polish.  The projected gradient converges
+solved by a projected gradient on the unit L^p sphere followed by one
+Newton solve.  The equation is (p-2)-homogeneous, so rescaling the
+constrained minimizer by Q_min^{1/(p-2)} removes the Lagrange multiplier and
+the Newton runs on the equation itself.  The projected gradient converges
 only linearly, so it stops as soon as its relative constrained residual is
-below ``HANDOFF_RESIDUAL`` and leaves the rest to the bordered Newton, which
+below ``HANDOFF_RESIDUAL`` and leaves the rest to the Newton, which
 converges quadratically from there (Deuflhard, *Newton Methods for Nonlinear
-Problems*, 2004).  Both Newton solves are ``operators.damped_newton`` with a
-positivity clamp, and their statuses go into the solution metadata.  The
+Problems*, 2004).  The Newton is ``operators.damped_newton`` with a
+positivity clamp, and its status goes into the solution metadata.  The
 continuation in beta starts each step after the second, and the beta = 0
 polish, from a secant prediction along the solution path (Allgower and
 Georg, *Introduction to Numerical Continuation Methods*, 2003); a prediction
@@ -24,11 +26,8 @@ vertices of Omega.  The quadrature therefore runs only over the tets that
 touch an interior vertex (``operators.FreeQuadrature``), on interior-sized
 vectors; the other tets contribute exactly 0.  The operator and every
 Jacobian are data arrays on that object's fixed interior pattern, and the
-torsion seed, the bordered step and the Newton polish factor them in the
-pattern's cached minimum-degree order (``FreeQuadrature.factor``).  The
-bordered step eliminates its border row and column by two solves with one
-factorization of the Jacobian (Keller, *Lectures on Numerical Methods in
-Bifurcation Problems*, 1987).
+torsion seed and every Newton step factor them in the pattern's cached
+minimum-degree order (``FreeQuadrature.factor``).
 """
 
 from __future__ import annotations
@@ -298,7 +297,7 @@ def _solve_critical(
     init: np.ndarray,
     newton_only: bool = False,
 ):
-    """Minimize the constrained quotient, rescale, and Newton-polish.
+    """Minimize the constrained quotient, rescale, and solve by Newton.
 
     Solves  A u = N(u)  with  A = a K + M_R + beta M  (restricted rows) and
     N(u) = consistent load of lam*S*|u|^{p-2}u.  Iterates live on ``free``
@@ -306,9 +305,10 @@ def _solve_critical(
     touch ``free``.  Unless ``newton_only``, a projected gradient on the
     weighted unit L^p sphere runs until ||Au - J F|| <= HANDOFF_RESIDUAL *
     ||Au|| in the lumped dual norm (J the quotient, F the load), or until it
-    stalls, and the bordered Newton takes over from there.  The polish
-    accepts ``init`` with 0 Newton steps when it already meets the
-    residual test.  Returns (u_full, info).
+    stalls; its minimizer is rescaled by Q_min^{1/(p-2)} and handed to the
+    Newton, and ``info["Q_min"]`` is the solution's quotient.  The Newton
+    accepts its start with 0 steps when it already meets the residual test.
+    Returns (u_full, info).
     """
     p = ops.constants.p
     fq = ops.free_quadrature(free)
@@ -322,12 +322,12 @@ def _solve_critical(
     def weighted_p_integral(u):
         return lam * fq.integrate(np.abs(fq.quad_values(u)) ** p * Sq)
 
-    def jacobian(u, mu=1.0):
-        # data of A - mu * N'(u) on the free-block pattern
+    def jacobian(u):
+        # data of A - N'(u) on the free-block pattern
         w = np.abs(fq.quad_values(u)) ** (p - 2.0) * Sq
-        return A.data - fq.weighted_mass(lam * mu * (p - 1.0) * w).data
+        return A.data - fq.weighted_mass(lam * (p - 1.0) * w).data
 
-    info = {"clamp_events": 0}
+    info = {}
     u = np.maximum(init[free].copy(), 0.0)
     if not np.any(u):
         raise ValueError("initial guess vanishes on the interior")
@@ -377,51 +377,17 @@ def _solve_critical(
                 break
         info["gradient_steps"] = steps
         Q_min = float(u @ (A @ u)) / weighted_p_integral(u) ** (2.0 / p)
-        info["Q_min"] = Q_min
         if Q_min <= 0:
             raise ValueError(
                 "constrained quotient minimum is nonpositive: no positive "
                 "rescaling of the minimizer solves the equation (sign "
                 "hypothesis failed)"
             )
-        # bordered Newton on A u = mu N(u), weighted p-mass = 1: the border
-        # keeps it nonsingular along the scaling direction, where the
-        # unconstrained Jacobian degenerates at a constrained minimizer
-        def bordered_residual(x):
-            u, mu = x[:-1], x[-1]
-            F = Nload(u)
-            r1 = A @ u - mu * F
-            r2 = weighted_p_integral(u) - 1.0
-            return (r1, r2, F), math.sqrt(dual_norm(r1, mL) ** 2 + r2**2)
-
-        def bordered_step(x, r):
-            # [J -F; p F^T 0] (du, dmu) = -(r1, r2) by block elimination
-            r1, r2, F = r
-            solve = fq.factor(jacobian(x[:-1], x[-1]), splu)
-            du, dv = solve(-r1), solve(F)
-            dmu = -(r2 + p * (F @ du)) / (p * (F @ dv))
-            return np.append(du + dmu * dv, dmu)
-
-        def clamp_u(x):
-            x[:-1], clamped = _clamp_negative(x[:-1])
-            return x, clamped
-
-        res = damped_newton(
-            np.append(u, Q_min), bordered_residual, bordered_step,
-            lambda x, r, rn: rn <= 1e-13 * max(abs(x[-1]), 1.0),
-            project=clamp_u, max_iter=80)
-        u, Q_min = res.x[:-1], float(res.x[-1])
-        info["bordered_status"] = res.status
-        info["clamp_events"] += sum(step[2] for step in res.steps)
-        if Q_min <= 0:
-            raise ValueError(
-                "constrained critical multiplier is nonpositive: no positive "
-                "rescaling solves the equation"
-            )
-        info["Q_min"] = Q_min
+        # (p-2)-homogeneity: Q^{1/(p-2)} times a unit-mass critical point
+        # of the quotient solves A u = N(u), with no multiplier left
         u = u * Q_min ** (1.0 / (p - 2.0))
 
-    # Newton polish with backtracking and positivity clamp
+    # Newton with backtracking and positivity clamp
     def residual(u):
         N = Nload(u)
         Au = A @ u
@@ -436,13 +402,16 @@ def _solve_critical(
         project=_clamp_negative, max_iter=60)
     u = res.x
     rel = res.norm / res.residual[1]
-    info["clamp_events"] += sum(step[2] for step in res.steps)
+    info["clamp_events"] = sum(step[2] for step in res.steps)
     if res.status == "singular" or rel > 1e-8:
         raise RuntimeError(
             f"Newton polish {res.status} after {len(res.steps)} steps "
             f"(relative residual {rel:.3e}, tolerance 1e-8)"
         )
     info["relative_residual"] = rel
+    if not newton_only:
+        # the quotient is scale-invariant: the critical multiplier of u
+        info["Q_min"] = float(u @ (A @ u)) / weighted_p_integral(u) ** (2.0 / p)
     info["newton_iterations"] = len(res.steps)
     info["newton_status"] = res.status
     u_full = np.zeros(ops.num_vertices)

@@ -306,6 +306,28 @@ def test_run_config_validation():
         cli.RunConfig(tolerances={"gamma": -1.0}).validated()
 
 
+@pytest.mark.parametrize("text, key", [
+    ("[run]\nrefinment = 3\n", "refinment"),
+    ("[S]\nkind = constant\nlevle = 5\n", "levle"),
+    ("[S]\nkind = constant\nbase = 1\n", "base"),
+    ("[S]\nkind = named\nname = tau\nlevel = 2\n", "level"),
+    ("[S]\nkind = admissible\nname = tau\n", "name"),
+    ("[tolerance]\ngamma = 0.1\n", "tolerance"),
+], ids=["run", "constant", "constant-base", "named-level", "admissible-name", "section"])
+def test_config_rejects_unknown_keys(text, key):
+    with pytest.raises(cli.ConfigError, match=f"unknown .*'{key}'"):
+        cli.config_from_sections(cli.parse_config_text(text))
+
+
+def test_config_accepts_every_documented_key():
+    run = "[run]\npreset = bump-t3\nrefinement = 0\nbc_mode = closed\noutput_dir = out\n"
+    for s_sec in ("kind = constant\nlevel = 6\n",
+                  "kind = admissible\nbase = 1\nregion = marked\nlevel = 1\nwidth = auto\n",
+                  "kind = named\nname = tau\n"):
+        text = run + "[S]\n" + s_sec + "[tolerances]\ngamma = 0.1\n"
+        cli.config_from_sections(cli.parse_config_text(text))
+
+
 # ---------------------------------------------------------------------------
 # subcommands and exit codes
 # ---------------------------------------------------------------------------
@@ -355,6 +377,15 @@ def test_malformed_config_exit_two(tmp_path):
     assert code == 2
     code = cli.main(["prescribe", "--config", str(tmp_path / "missing.cfg")])
     assert code == 2
+
+
+def test_config_typo_exit_two(tmp_path):
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("[run]\npreset = flat-t3\nrefinment = 3\n")
+    code = cli.main(["mesh", "gen", "--config", str(typo), "--output-dir",
+                     str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_check_condition_a_exit_codes(tmp_path):

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import bmat, csc_matrix
-from scipy.sparse.linalg import splu
 
 from cywbench import geometry, local_yamabe, operators
 from cywbench.geometry import ScalarField
@@ -113,7 +111,6 @@ def test_solve_perturbed_positive_and_residual(gate_setup):
     v = u.values
     assert v[dom.interior_set].min() > 0
     assert np.all(v[dom.frontier_set] == 0.0)
-    assert u.metadata["bordered_status"] == "converged"
     assert u.metadata["newton_status"] == "converged"
     # residual of the discrete optimality system
     free = dom.interior_set
@@ -182,40 +179,6 @@ def test_polish_failure_names_newton_status(gate_setup, monkeypatch):
     with pytest.raises(RuntimeError, match=r"Newton polish singular after 0 steps"):
         local_yamabe.solve_perturbed(mesh, dom, geom, CST, 1.0, -0.1, init,
                                      ops=ops, require_gate=False, newton_only=True)
-
-
-def test_bordered_step_matches_the_bordered_lu(monkeypatch):
-    mesh, geom = preset("ball-negR", 1)
-    dom = geometry.extract_subdomain(
-        mesh, lambda v: np.einsum("ij,ij->i", v, v) < 0.55**2)
-    ops = _dirichlet_ops(mesh, geom, dom)
-    bump = np.zeros(mesh.num_vertices)
-    bump[dom.interior_set] = 1.0
-    init = ScalarField(bump, mesh.mesh_id)
-    factored, steps = [], []
-    factor, newton = operators.FreeQuadrature.factor, local_yamabe.damped_newton
-
-    def recording(fq, data, lu):
-        factored.append((fq, data))
-        return factor(fq, data, lu)
-
-    def first_step(x, residual, solve, *args, **kwargs):
-        if not steps:  # the bordered Newton runs first
-            r, _ = residual(x)
-            steps.append((r, solve(x, r), factored[-1]))
-        return newton(x, residual, solve, *args, **kwargs)
-
-    monkeypatch.setattr(operators.FreeQuadrature, "factor", recording)
-    monkeypatch.setattr(local_yamabe, "damped_newton", first_step)
-    local_yamabe.solve_perturbed(mesh, dom, geom, CST, 1.0, -0.1, init, ops=ops,
-                                 require_gate=False)
-    ((r1, r2, F), step, (fq, data)), = steps
-    assert step.size == fq.nf + 1
-    # oracle: the bordered matrix factored whole in SuperLU's own order
-    B = bmat([[fq.matrix(data), csc_matrix(-F[:, None])],
-              [csc_matrix(CST.p * F[None, :]), None]]).tocsc()
-    oracle = splu(B).solve(np.concatenate([-r1, [-r2]]))
-    assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
 # the local-solve benchmark inputs: a ball around each preset's marked centre

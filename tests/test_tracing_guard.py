@@ -81,12 +81,15 @@ def test_traced_local_solve_factors_only_the_free_block(monkeypatch):
         monkeypatch.setattr(owner, "splu", sized)
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
-        local_yamabe.solve_perturbed(mesh, dom, geom, cst, 1.0, -0.1,
-                                     geometry.ScalarField(init, mesh.mesh_id),
-                                     ops=ops, require_gate=False)
+        sol = local_yamabe.solve_perturbed(mesh, dom, geom, cst, 1.0, -0.1,
+                                           geometry.ScalarField(init, mesh.mesh_id),
+                                           ops=ops, require_gate=False)
     factors = [span[0] for span in tracer.spans if span[0].startswith("superlu.factor:")]
     # the free order is the operators' one factorization, every other the caller's
     assert factors.count("superlu.factor:operators") == 1
     assert factors.count("superlu.factor:local_yamabe") == len(factors) - 1 > 1
-    # the bordered step factors the free block, not one row and column more
+    # one factorization per Newton step, plus the torsion seed's
+    assert (factors.count("superlu.factor:local_yamabe")
+            == sol.metadata["newton_iterations"] + 1)
+    # every factorization is of the free block
     assert rows == [len(dom.interior_set)] * len(factors)

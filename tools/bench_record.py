@@ -9,11 +9,12 @@ For every seed and workload the script runs, in each checkout,
 ``python3 perfbench/run.py --workload W --seed S --trace 0`` and keeps the
 end-to-end metrics it prints; the run length is the benchmark's own.  Pair
 k runs the two sides in the given order for even k and in reverse for odd
-k.  The file holds every run, each side's median and quartiles per metric,
-how many pairs the second side won on each metric (by the direction
-``BENCHMARK.json`` gives) and whether that meets the gain rule: at least
-nine pairs in ten won and a median difference larger than the first
-side's interquartile range.
+k.  The file holds each side's commit, source digest and ``src_lines``
+(the line count of ``src/cywbench/*.py``), every run, each side's median
+and quartiles per metric, how many pairs the second side won on each
+metric (by the direction ``BENCHMARK.json`` gives) and whether that meets
+the gain rule: at least nine pairs in ten won and a median difference
+larger than the first side's interquartile range.
 ``--tier1`` also runs the tier-1 tests once in each checkout and records
 their wall time, summary line and five slowest tests.
 """
@@ -48,6 +49,12 @@ def _src_sha256(checkout: Path) -> str:
         digest.update(path.relative_to(checkout).as_posix().encode() + b"\0")
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def _src_lines(checkout: Path) -> int:
+    """Line count of the package, as ``cat src/cywbench/*.py | wc -l`` gives it."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "cywbench").glob("*.py"))
 
 
 def _run(checkout: Path, workload: str, seed: int) -> dict:
@@ -125,7 +132,8 @@ def main(argv=None) -> int:
         "sides": {name: {"commit": _git(path, "rev-parse", "HEAD"),
                          "uncommitted_changes": bool(_git(path, "status", "--porcelain",
                                                           "src", "perfbench")),
-                         "src_sha256": _src_sha256(path)}
+                         "src_sha256": _src_sha256(path),
+                         "src_lines": _src_lines(path)}
                   for name, path in sides.items()},
         "workloads": {},
     }
