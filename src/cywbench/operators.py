@@ -21,6 +21,8 @@ Conventions
   plus the diagonal, through ``AssembledOperators.factor``, and the free x
   free blocks through ``FreeQuadrature.factor``.  One-shot solves use
   SuperLU's own order, since a cached order would cost them an extra LU.
+  The shift-invert solves of ``first_eigenpair`` use the LDL^T factor that
+  certifies the shift (``_certified_lu``), so ARPACK factors nothing.
 * ``FreeQuadrature`` builds, once per free set, the sparse P1 interpolation
   matrix P from free-sized vectors to the active quadrature points
   (entries ``TET_QP[q, c]``), so quadrature values are P u and the
@@ -53,7 +55,7 @@ from typing import Optional
 import numpy as np
 from scipy import io as scipy_io
 from scipy.sparse import csc_matrix, csr_matrix, diags, identity
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from . import _kernels
 from .constants import DimensionConstants
@@ -617,8 +619,9 @@ def _symmetric_lu(A: csr_matrix):
                 options={"SymmetricMode": True})
 
 
-def _positive_definite(A: csr_matrix) -> bool:
-    """Whether symmetric ``A`` is positive definite, by its LU pivots.
+def _certified_lu(A: csr_matrix):
+    """The ``_symmetric_lu`` of symmetric ``A`` if it certifies A positive
+    definite, else None.
 
     With diagonal pivots the LU is a symmetric LDL^T, and by Sylvester's law
     of inertia the signs of the pivots are those of A's eigenvalues.
@@ -626,8 +629,14 @@ def _positive_definite(A: csr_matrix) -> bool:
     try:
         lu = _symmetric_lu(A)
     except RuntimeError:
-        return False
-    return bool(np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0)
+        return None
+    certified = np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0
+    return lu if certified else None
+
+
+def _positive_definite(A: csr_matrix) -> bool:
+    """Whether symmetric ``A`` is positive definite, by its LU pivots."""
+    return _certified_lu(A) is not None
 
 
 def first_eigenpair(
@@ -638,8 +647,12 @@ def first_eigenpair(
     """Smallest eigenpair of L phi = eta M phi, deterministic shift-invert.
 
     The shift steps down from the Rayleigh quotient of the constants, an upper
-    bound of eta, until L - sigma M is certified positive definite, so no
-    eigenvalue lies below it; the Gershgorin bound is the fallback.
+    bound of eta, until the LDL^T of L - sigma M certifies it positive
+    definite, so no eigenvalue lies below sigma; the Gershgorin bound is the
+    fallback.  ARPACK's shift-invert solves use that one factor, so a call
+    makes one LU per tried shift and ARPACK makes none.  The metadata records
+    the ``shift``, its ``certificate`` (``ldlt-inertia`` or ``gershgorin``),
+    the ``factorizations`` made and ARPACK's ``shift_invert_solves``.
     ``operator='laplacian'`` uses the pure stiffness block (no curvature or
     boundary term, no factor a).
     """
@@ -654,10 +667,27 @@ def first_eigenpair(
     v0 = np.ones(nfree)
     rho = float(v0 @ (L @ v0)) / float(v0 @ (M @ v0))
     gap = max(abs(rho), 1.0)
-    while rho - gap > low - 1.0 and not _positive_definite(L - (rho - gap) * M):
+    factorizations, lu = 0, None
+    while lu is None and rho - gap > low - 1.0:
+        sigma = rho - gap
+        lu = _certified_lu(L - sigma * M)
+        factorizations += 1
         gap *= 4.0
-    sigma = max(rho - gap, low - 1.0)
-    vals, vecs = eigsh(L, k=1, M=M, sigma=sigma, which="LM", v0=v0)
+    certificate = "ldlt-inertia"
+    if lu is None:
+        sigma, certificate = low - 1.0, "gershgorin"
+        lu = _symmetric_lu(L - sigma * M)
+        factorizations += 1
+    solves = 0
+
+    def shift_invert(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
+
+    vals, vecs = eigsh(L, k=1, M=M, sigma=sigma, which="LM", v0=v0,
+                       OPinv=LinearOperator((nfree, nfree), matvec=shift_invert,
+                                            dtype=L.dtype))
     eta = float(vals[0])
     phi = vecs[:, 0]
     # normalize: unit M-norm, nonnegative mean
@@ -679,7 +709,9 @@ def first_eigenpair(
         eigenfunction=ScalarField(full, ops.mesh.mesh_id, {"normalized": "unit-M"}),
         residual=residual,
         sign_change_free=sign_free,
-        metadata={"mass": mass, "operator": operator, "bc_mode": ops.bc_mode},
+        metadata={"mass": mass, "operator": operator, "bc_mode": ops.bc_mode,
+                  "shift": sigma, "certificate": certificate,
+                  "factorizations": factorizations, "shift_invert_solves": solves},
     )
 
 

@@ -98,6 +98,64 @@ def test_first_eigenpair_robin_matches_dense(operator, mass):
     assert not operators._positive_definite(L - 0.5 * (w[0] + w[1]) * M)
 
 
+def _count_splu(monkeypatch):
+    """Record the matrices ``operators`` factors; make ARPACK's own LU raise."""
+    from scipy.sparse.linalg._eigen.arpack import arpack
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK factored the shifted matrix itself")
+
+    factored = []
+
+    def counted(A, *args, **kwargs):
+        factored.append(A)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(arpack, "splu", refuse)
+    monkeypatch.setattr(operators, "splu", counted)
+    return factored
+
+
+@pytest.mark.parametrize("pid,r,bc,operator,mass", [
+    ("ball-negR", 1, "robin", "conformal", "consistent"),
+    ("ball-negR", 1, "robin", "conformal-lumped", "lumped"),
+    ("round-s3", 1, "closed", "conformal", "consistent"),
+])
+def test_first_eigenpair_shift_invert_reuses_the_certifying_factor(
+        monkeypatch, pid, r, bc, operator, mass):
+    ops = assembled(pid, r, bc)
+    L, M, _ = operators._pencil(ops, mass, operator)
+    w0 = scipy.linalg.eigh(L.toarray(), M.toarray(), eigvals_only=True,
+                           subset_by_index=[0, 0])[0]
+    factored = _count_splu(monkeypatch)
+    eig = operators.first_eigenpair(ops, mass=mass, operator=operator)
+    meta = eig.metadata
+    assert len(factored) == meta["factorizations"] >= 1
+    assert meta["certificate"] == "ldlt-inertia"
+    assert meta["shift"] < eig.eigenvalue
+    assert meta["shift_invert_solves"] > 0
+    assert abs(eig.eigenvalue - w0) <= 1e-9 * abs(w0)
+
+
+@pytest.mark.parametrize("operator,mass", [("conformal", "consistent"),
+                                           ("conformal-lumped", "lumped")])
+def test_first_eigenpair_gershgorin_fallback(monkeypatch, operator, mass):
+    ops = assembled("ball-negR", 1, "robin")
+    L, M, _ = operators._pencil(ops, mass, operator)
+    w0 = scipy.linalg.eigh(L.toarray(), M.toarray(), eigvals_only=True,
+                           subset_by_index=[0, 0])[0]
+    m = np.asarray(M.sum(axis=1)).ravel()
+    low = np.min((2.0 * L.diagonal() - np.asarray(abs(L).sum(axis=1)).ravel()) / m)
+    factored = _count_splu(monkeypatch)
+    monkeypatch.setattr(operators, "_certified_lu", lambda A: None)
+    eig = operators.first_eigenpair(ops, mass=mass, operator=operator)
+    assert eig.metadata["certificate"] == "gershgorin"
+    assert eig.metadata["shift"] == low - 1.0
+    assert len(factored) == 1
+    assert abs(factored[0] - (L - (low - 1.0) * M)).max() == 0.0
+    assert abs(eig.eigenvalue - w0) <= 1e-9 * abs(w0)
+
+
 def test_apply_conformal_laplacian_constant_on_sphere():
     ops = assembled("round-s3", 1)
     one = ScalarField(np.ones(ops.num_vertices), preset("round-s3", 1)[0].mesh_id)
