@@ -567,6 +567,8 @@ def _gate_inputs(cfg):
 
 
 def _cmd_gate(args) -> int:
+    if not args.beta <= 0:
+        raise ConfigError(f"--beta must be <= 0, not {args.beta!r}")
     cfg = _load_config(args)
     mesh, geom, domain, lam = _gate_inputs(cfg)
     thresholds = _local.energy_gate(
@@ -582,6 +584,8 @@ def _cmd_gate(args) -> int:
 
 
 def _cmd_solve_local(args) -> int:
+    if not args.beta0 < 0:
+        raise ConfigError(f"--beta0 must be < 0, not {args.beta0!r}")
     cfg = _load_config(args)
     mesh, geom, domain, lam = _gate_inputs(cfg)
     try:

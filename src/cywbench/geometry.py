@@ -140,10 +140,10 @@ class Mesh:
     metadata: dict = field(default_factory=dict)
 
     # caches
-    _edges: Optional[np.ndarray] = field(default=None, repr=False)
-    _vertex_graph: Optional[csr_matrix] = field(default=None, repr=False)
-    _boundary_flags: Optional[np.ndarray] = field(default=None, repr=False)
-    _mollify_weights: dict = field(default_factory=dict, repr=False)
+    _edges: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _vertex_graph: Optional[csr_matrix] = field(default=None, init=False, repr=False)
+    _boundary_flags: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _mollify_weights: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
@@ -806,19 +806,10 @@ def construct_admissible_function(
     if level <= 0:
         raise ValueError("level must be > 0")
     sel = region.mask(mesh.num_vertices)
-    graph = mesh.vertex_graph()
-    comp = np.flatnonzero(~sel)
-    n = mesh.num_vertices
-
-    if comp.size:
-        dist_to_comp = dijkstra(graph, directed=False, indices=comp, min_only=True)
-    else:
-        dist_to_comp = np.full(n, np.inf)
     dist_to_region = dijkstra(
-        graph, directed=False, indices=region.vertex_set, min_only=True
+        mesh.vertex_graph(), directed=False, indices=region.vertex_set, min_only=True
     )
-
-    core = sel & (dist_to_comp >= width)
+    core = erode_region(mesh, region.vertex_set, width)
     if not core.any():
         raise ValueError("region too small to contain an eroded core")
     far = ~sel & (dist_to_region >= width)
@@ -841,8 +832,8 @@ def construct_admissible_function(
 def erode_region(mesh: Mesh, vertex_set: np.ndarray, width: float) -> np.ndarray:
     """Boolean mask of the region eroded by graph distance ``width``.
 
-    Matches the erosion used by :func:`construct_admissible_function`, so the
-    returned core is exactly where a constructed admissible function is
+    :func:`construct_admissible_function` pins its level on this core, so
+    the core is exactly where a constructed admissible function is
     guaranteed to equal its constant level.
     """
     n = mesh.num_vertices

@@ -131,6 +131,15 @@ def _strong_residual(ops: AssembledOperators, u: np.ndarray, S: np.ndarray):
     return _lumped_rows(ops, u, S) / ops.mass_lumped
 
 
+def _curvature(ops: AssembledOperators, u: np.ndarray) -> np.ndarray:
+    """Curvature of u^{p-2} g from the lumped rows: u^{1-p} (a K u + m R u)/m.
+
+    Off the boundary, where ``conformal_change`` corrects nothing, this is
+    bitwise its new scalar curvature.
+    """
+    return ops.apply_conformal_laplacian_vec(u) / u ** (ops.constants.p - 1.0)
+
+
 def _consistent_rows(ops: AssembledOperators, u: np.ndarray, S: np.ndarray):
     """Assembled weak-form rows: a K u + M_R u (+ robin) - quadrature load."""
     r = (
@@ -534,17 +543,18 @@ def negative_scalar_normalization(P: int, ops: AssembledOperators) -> ScalarFiel
 
     A small dimple at P (v = 1 - s * hat_P) makes the recomputed curvature
     at P negative through the concavity term while leaving v = 1 outside the
-    vertex star, so boundary data and remote signs are untouched.  s is
-    grown geometrically against the conformal_change recheck oracle.  The
+    vertex star, so boundary data and remote signs are untouched.  The
+    amplitude runs through s = 1 - 2^-k, k = 1..20, and the first s whose
+    curvature (``_curvature``) at P is negative is kept; that is bitwise the
+    curvature ``conformal_change`` gives there, as the dimple keeps the
+    boundary flux (2/(p-2)) h v and so needs no boundary correction.  The
     dimple's metadata keeps the consistent first eigenvalue it started from
     (``eta_before``), which ``prescribe`` names if the eigenvalue it finds
     afterwards is not positive.
     """
-    geom, mesh = ops.geom, ops.mesh
     n = ops.num_vertices
-    Rv = geom.scalar_curvature.values
-    if Rv[P] < 0:
-        return ScalarField(np.ones(n), mesh.mesh_id, {"branch": "already-negative"})
+    if ops.geom.scalar_curvature.values[P] < 0:
+        return ScalarField(np.ones(n), ops.mesh.mesh_id, {"branch": "already-negative"})
     eta = _operators.first_eigenpair(ops).eigenvalue
     if eta <= 0:
         raise PipelineError(
@@ -552,36 +562,12 @@ def negative_scalar_normalization(P: int, ops: AssembledOperators) -> ScalarFiel
         )
     hat = np.zeros(n)
     hat[P] = 1.0
-    h_before = (
-        geom.mean_curvature.values.copy() if geom.mean_curvature is not None else None
-    )
-    s = 0.5
-    for _ in range(20):
+    for k in range(1, 21):
+        s = 1.0 - 2.0**-k
         v = 1.0 - s * hat
-        if v.min() > 0:
-            flux = None
-            if not mesh.is_closed:
-                pm2 = ops.constants.p_minus_2
-                hv = h_before if h_before is not None else np.zeros(n)
-                flux = (2.0 / pm2) * hv * v
-            new_geom = _operators.conformal_change(
-                geom, ScalarField(v, mesh.mesh_id), ops, boundary_flux=flux
-            )
-            if new_geom.scalar_curvature.values[P] < 0:
-                meta = {"branch": "dimple", "s": s, "vertex": P, "eta_before": eta}
-                if h_before is not None:
-                    meta["boundary_sign_preserved"] = bool(
-                        np.array_equal(
-                            np.sign(h_before[mesh.vertex_flags]),
-                            np.sign(
-                                new_geom.mean_curvature.values[mesh.vertex_flags]
-                            ),
-                        )
-                    )
-                return ScalarField(v, mesh.mesh_id, meta)
-        s = 0.5 * (s + 1.0) if v.min() > 0 else 0.5 * s
-        if 1.0 - s <= 1e-8:
-            break
+        if _curvature(ops, v)[P] < 0:
+            return ScalarField(v, ops.mesh.mesh_id,
+                               {"branch": "dimple", "s": s, "vertex": P, "eta_before": eta})
     raise PipelineError(
         "negative_scalar_normalization", "dimple amplitude search exhausted"
     )
@@ -663,7 +649,7 @@ def _constant_route(S, ops):
             "constant route needs positive constant curvature and target",
         )
     u = np.full(ops.num_vertices, 1.0 if trivial else (c / lam) ** (1.0 / ops.constants.p_minus_2))
-    Rnew = ops.apply_conformal_laplacian_vec(u) / u ** (ops.constants.p - 1.0)
+    Rnew = _curvature(ops, u)
     verification = {
         "curvature_residual_rel": float(np.abs(Rnew - Sv).max())
         / max(float(np.abs(Sv).max()), 1e-300),
@@ -712,6 +698,14 @@ def _pick_region_domain(mesh, geom, S):
         raise PipelineError("route-selection", str(err)) from err
 
 
+def _conformal_step(ops: AssembledOperators, v: ScalarField, factors: list,
+                    boundary_flux=None) -> AssembledOperators:
+    """Operators of the metric v^{p-2} g; ``v`` is appended to ``factors``."""
+    geom = _operators.conformal_change(ops.geom, v, ops, boundary_flux=boundary_flux)
+    factors.append(v)
+    return _operators.assemble(ops.mesh, geom, ops.constants, bc_mode=ops.bc_mode)
+
+
 def prescribe(
     mesh: Mesh,
     geom: GeometrySpec,
@@ -722,9 +716,14 @@ def prescribe(
     """Full prescription pipeline: route, local solve, bracket, iterate, verify.
 
     Routing follows the preset flags; the sphere route demands a CONDITION A
-    pass and is refused with the obstruction verdict otherwise.  A returned
-    report's metadata holds the ``solution`` and the ``operators`` assembled
-    for the input geometry.
+    pass and is refused with the obstruction verdict otherwise.  The general
+    route applies at most two conformal normalizations, each by one
+    ``_conformal_step``, and then works on the operators of that one metric:
+    the energy gate and the continuation read only the domain's interior
+    rows and columns, bitwise those of a Dirichlet assembly.  An accepted
+    bracket is verified by ``_curvature`` off the boundary and, under Robin
+    conditions, by the boundary rows.  A returned report's metadata holds
+    the ``solution`` and the ``operators`` assembled for the input geometry.
     """
     config = config or GluingConfig()
     cst = DimensionConstants(3)
@@ -773,57 +772,40 @@ def prescribe(
         )
 
     # --- general bracket pipeline -----------------------------------------
-    work_geom = geom
-    work_ops = ops
-    factors = []
+    work_ops, factors = ops, []
     if bc_mode == "robin":
         v_h = positive_mean_curvature_normalization(work_ops)
-        if v_h.metadata.get("branch") != "already-positive":
-            work_geom = _operators.conformal_change(
-                work_geom,
-                v_h,
-                work_ops,
-                boundary_flux=v_h.metadata.get("boundary_flux"),
-            )
-            work_ops = _operators.assemble(mesh, work_geom, cst, bc_mode="robin")
-            factors.append(v_h)
+        if v_h.metadata["branch"] != "already-positive":
+            work_ops = _conformal_step(work_ops, v_h, factors, v_h.metadata["boundary_flux"])
 
-    domain, lam = _pick_region_domain(mesh, work_geom, S)
+    domain, lam = _pick_region_domain(mesh, work_ops.geom, S)
     if lam <= 0:
         raise PipelineError("route-selection", "admissible level must be positive")
 
-    Rdom = work_geom.scalar_curvature.values[domain.vertex_set]
+    Rdom = work_ops.geom.scalar_curvature.values[domain.vertex_set]
     if Rdom.max() >= 0 and route in ("scenario-a-sphere", "not-lcf-in-O"):
-        center = domain.interior_set[0]
-        v_neg = negative_scalar_normalization(int(center), work_ops)
-        if v_neg.metadata.get("branch") != "already-negative":
-            work_geom = _operators.conformal_change(work_geom, v_neg, work_ops)
-            work_ops = _operators.assemble(mesh, work_geom, cst, bc_mode=bc_mode)
-            factors.append(v_neg)
+        v_neg = negative_scalar_normalization(int(domain.interior_set[0]), work_ops)
+        if v_neg.metadata["branch"] != "already-negative":
+            work_ops = _conformal_step(work_ops, v_neg, factors)
 
     # local stage: a bare solver error becomes a tagged pipeline failure
     try:
         if route == "lcf-manifold":
             Qf = ScalarField(np.full(mesh.num_vertices, lam), mesh.mesh_id)
-            local = _local.solve_flat_punctured(mesh, domain, Qf, work_geom, cst)
+            local = _local.solve_flat_punctured(mesh, domain, Qf, work_ops.geom, cst)
             thresholds = None
         else:
-            dir_ops = _operators.assemble(
-                mesh, work_geom, cst, bc_mode="dirichlet", domain=domain
-            )
             thresholds = _local.energy_gate(
-                mesh, domain, work_geom, cst, lam, -0.1, ops=dir_ops
+                mesh, domain, work_ops.geom, cst, lam, -0.1, ops=work_ops
             )
-            if not thresholds.gate_pass and not thresholds.metadata.get(
-                "advisory_only", False
-            ):
+            if not thresholds.gate_pass:
                 raise PipelineError(
                     "energy-gate",
                     f"Q_eps = {thresholds.Q_eps:.6g} >= T_used = "
                     f"{thresholds.metadata['T_used']:.6g}",
                 )
             trace = _local.beta_continuation(
-                mesh, domain, work_geom, cst, lam, -0.1, ops=dir_ops,
+                mesh, domain, work_ops.geom, cst, lam, -0.1, ops=work_ops,
                 gate=thresholds
             )
             local = trace.metadata.get("beta_zero_solution") or trace.solutions[-1]
@@ -884,19 +866,15 @@ def prescribe(
             err.report = _failure_report(err.stage, str(err))
         raise
 
-    # verification in the working geometry
-    new_geom = _operators.conformal_change(work_geom, u, work_ops)
-    Rnew = new_geom.scalar_curvature.values
-    interior = (
-        ~mesh.vertex_flags if bc_mode == "robin" else np.ones(mesh.num_vertices, bool)
-    )
-    res = float(np.abs((Rnew - Sv))[interior].max()) / max(
+    # verification in the working geometry: the curvature off the boundary,
+    # the Robin rows on it
+    bnd = mesh.vertex_flags
+    res = float(np.abs(_curvature(work_ops, u.values) - Sv)[~bnd].max()) / max(
         float(np.abs(Sv).max()), 1e-300
     )
     boundary_res = 0.0
     if bc_mode == "robin":
         rows = _lumped_rows(work_ops, u.values, Sv)
-        bnd = mesh.vertex_flags
         boundary_res = float(
             np.abs(rows[bnd] / (cst.a * work_ops.boundary_mass_plain_lumped[bnd])).max()
         )
@@ -977,15 +955,8 @@ def report_to_text(report: SolveReport, timestamp: bool = True) -> str:
     if report.obstructions is not None:
         lines.append("[obstructions]")
         ob = report.obstructions
-        if hasattr(ob, "verdict"):
-            lines.append(f"condition_a {ob.verdict}")
-            lines.append(f"witnesses {len(ob.witnesses)}")
-            note = ob.metadata.get("basis_note", "")
-            lines.append(f"note {note}")
-        if hasattr(ob, "kw_values"):
-            for k in sorted(ob.kw_values):
-                lines.append(f"kw {k} {ob.kw_values[k]!r}")
-            for k in sorted(ob.be_values):
-                lines.append(f"be {k} {ob.be_values[k]!r}")
+        lines.append(f"condition_a {ob.verdict}")
+        lines.append(f"witnesses {len(ob.witnesses)}")
+        lines.append(f"note {ob.metadata.get('basis_note', '')}")
     lines.append(f"accepted {report.metadata.get('accepted', False)}")
     return "\n".join(lines) + "\n"

@@ -24,9 +24,11 @@ T_used.
 Every test function, iterate and Newton step vanishes off the interior
 vertices of Omega.  The quadrature therefore runs only over the tets that
 touch an interior vertex (``operators.FreeQuadrature``), on interior-sized
-vectors; the other tets contribute exactly 0.  The operator and every
-Jacobian are data arrays on that object's fixed interior pattern, and the
-torsion seed and every Newton step factor them in the pattern's cached
+vectors; the other tets contribute exactly 0.  Only the interior rows and
+columns of ``ops`` are read, so a whole-mesh assembly serves bitwise as
+well as the Dirichlet one assembled when none is given.  The operator and
+every Jacobian are data arrays on that object's fixed interior pattern, and
+the torsion seed and every Newton step factor them in the pattern's cached
 minimum-degree order (``FreeQuadrature.factor``).
 """
 
@@ -508,7 +510,7 @@ def beta_continuation(
         gate = energy_gate(mesh, domain, geom, constants, lam, beta0, ops=ops)
     elif (gate.metadata["beta"], gate.metadata["lambda"]) != (beta0, lam):
         raise ValueError("gate was computed at another beta0 or lambda")
-    if not gate.gate_pass and not gate.metadata.get("advisory_only", False):
+    if not gate.gate_pass:
         raise RuntimeError("energy gate failed at beta0")
     cst = constants
     n = cst.n

@@ -207,9 +207,6 @@ class AssembledOperators:
         """Integrate a per-(tet, point) sample against dVol_g."""
         return float(np.einsum("q,tq,tq->", TET_QW, self.geom.volume_density, w_q))
 
-    def volume(self) -> float:
-        return self.integrate(np.ones_like(self.geom.volume_density))
-
     def lp_norm(self, u: np.ndarray) -> float:
         """L^p norm by order-2 quadrature of |P1 interpolant|^p."""
         p = self.constants.p

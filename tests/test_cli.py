@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -539,3 +540,54 @@ def test_prescribe_compiles_base_expression_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "parse_expression", counted)
     cli.main(_admissible_cfg(tmp_path, "2 + sin(2*pi*x)"))
     assert calls == ["2 + sin(2*pi*x)"]
+
+
+def _readme_local_cfg(tmp_path):
+    """The README's example ``local.cfg``, written to ``tmp_path``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"For example, `local.cfg`:\n\n```\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "local.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def _gate_rows(outdir):
+    rows = list(csv.reader(open(outdir / "gate_sweep.csv")))
+    assert rows[0] == ["epsilon", "quotient", "pure_quotient"]
+    return rows[1:]
+
+
+def test_gate_on_readme_local_cfg(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["gate", "--config", _readme_local_cfg(tmp_path),
+                     "--output-dir", str(out)]) == cli.EXIT_OK
+    assert len(_gate_rows(out)) == 6
+
+
+def test_gate_constant_target_uses_the_marked_region(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["gate", "--preset", "bump-t3", "--refinement", "1", "--constant-S", "1",
+                     "--output-dir", str(out)]) == cli.EXIT_OK
+    assert len(_gate_rows(out)) == 6
+
+
+def test_solve_local_on_readme_local_cfg(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["solve", "local", "--config", _readme_local_cfg(tmp_path),
+                     "--output-dir", str(out)]) == cli.EXIT_OK
+    assert "converged True" in capsys.readouterr().out
+    assert (out / "continuation.csv").exists() and (out / "continuation.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gate", "--beta", "0.5"],
+    ["solve", "local", "--beta0", "0.1"],
+    ["solve", "local", "--beta0", "0"],
+])
+def test_nonnegative_beta_exit_two_before_any_work(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(argv + ["--config", _readme_local_cfg(tmp_path), "--output-dir", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --beta") and "Traceback" not in err
+    assert not out.exists()

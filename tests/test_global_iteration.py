@@ -214,6 +214,49 @@ def test_negative_scalar_normalization_branches():
     assert np.all(out.values == 1.0)
 
 
+@pytest.mark.parametrize("preset_id, bc_mode, boundary", [
+    ("bump-t3", "closed", False),
+    ("annulus", "robin", True),
+])
+def test_dimple_is_the_first_amplitude_conformal_change_makes_negative(
+        preset_id, bc_mode, boundary, monkeypatch):
+    # a large constant R makes the search pass several amplitudes
+    mesh, geom = preset(preset_id, 1)
+    geom = dataclasses.replace(geom, scalar_curvature=ScalarField(
+        np.full(mesh.num_vertices, 1e5), mesh.mesh_id))
+    ops = operators.assemble(mesh, geom, CST, bc_mode=bc_mode)
+    P = int(np.flatnonzero(mesh.vertex_flags == boundary)[0])
+    change, calls = operators.conformal_change, []
+    monkeypatch.setattr(operators, "conformal_change",
+                        lambda *a, **k: calls.append(1) or change(*a, **k))
+    v = gi.negative_scalar_normalization(P, ops)
+    assert calls == [] and v.metadata["branch"] == "dimple"
+
+    def curvature_at_P(s):
+        # the oracle: the new metric's curvature, boundary flux (2/(p-2)) h v kept
+        f = 1.0 - s * (np.arange(mesh.num_vertices) == P)
+        flux = None if mesh.is_closed else 2.0 / CST.p_minus_2 * geom.mean_curvature.values * f
+        return change(geom, ScalarField(f, mesh.mesh_id), ops,
+                      boundary_flux=flux).scalar_curvature.values[P]
+
+    s = v.metadata["s"]
+    assert s > 0.9 and v.values[P] == 1.0 - s and curvature_at_P(s) < 0
+    assert curvature_at_P(2.0 * s - 1.0) >= 0
+
+
+@pytest.mark.parametrize("preset_id, bc_mode", [("ball-negR", "robin"), ("bump-t3", "closed")])
+def test_verification_curvature_is_bitwise_conformal_change_off_the_boundary(
+        preset_id, bc_mode):
+    mesh, geom = preset(preset_id, 1)
+    ops = assembled(preset_id, 1, bc_mode)
+    u = 0.5 + np.random.default_rng(7).random(mesh.num_vertices)
+    R = operators.conformal_change(geom, ScalarField(u, mesh.mesh_id), ops).scalar_curvature.values
+    inside = ~mesh.vertex_flags
+    assert gi._curvature(ops, u)[inside].tobytes() == R[inside].tobytes()
+    # at the boundary conformal_change removes the flux, so prescribe reads only inside
+    assert mesh.is_closed or not np.array_equal(gi._curvature(ops, u)[~inside], R[~inside])
+
+
 def test_positive_mean_curvature_normalization_robin():
     mesh, geom = preset("ball-negR", 2)
     ops = assembled("ball-negR", 2, "robin")
@@ -370,6 +413,23 @@ def test_prescribe_runs_the_energy_gate_once(monkeypatch):
     monkeypatch.setattr(gi._local, "beta_continuation", recomputing)
     assert report_text() == text
     assert calls == [-0.1] * 3
+
+
+def test_prescribe_assembles_once_on_the_bracket_route(monkeypatch):
+    # the local stage reads the interior rows of the closed assembly
+    mesh, geom, S = _bump_admissible_target(0.45)
+    assemble, calls = operators.assemble, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("bc_mode"))
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "assemble", counted)
+    monkeypatch.setattr(gi._local, "assemble", counted)
+    with pytest.raises(gi.PipelineError) as err:
+        gi.prescribe(mesh, geom, S)
+    assert err.value.stage == "glue_supersolution"
+    assert calls == ["closed"]
 
 
 @functools.lru_cache(maxsize=None)

@@ -201,6 +201,21 @@ def test_conformal_change_identity_factor():
     assert np.abs(gnew.scalar_curvature.values).max() < 1e-9
 
 
+def test_conformal_change_constant_factor_scaling_law():
+    # u = c: the metric c^{p-2} g = c^4 g has R c^{-4} and, at the boundary,
+    # h c^{-2}; with no flux given the boundary rows are recovered variationally
+    mesh, geom = preset("ball-negR", 1)
+    ops = assembled("ball-negR", 1, "robin")
+    c = 2.0
+    gnew = operators.conformal_change(
+        geom, ScalarField(np.full(mesh.num_vertices, c), mesh.mesh_id), ops)
+    R, h, bnd = geom.scalar_curvature.values, geom.mean_curvature.values, mesh.vertex_flags
+    R_err = np.abs(gnew.scalar_curvature.values - R * c**-4).max() / np.abs(R * c**-4).max()
+    h_err = (np.abs(gnew.mean_curvature.values - h * c**-2)[bnd].max()
+             / np.abs(h * c**-2)[bnd].max())
+    assert R_err <= 1e-12 and h_err <= 1e-12
+
+
 def test_conformal_change_rejects_nonpositive():
     mesh, geom = preset("flat-t3", 1)
     ops = assembled("flat-t3", 1)
