@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import math
 import operator
 import os
 import re
@@ -426,7 +427,7 @@ def _emit_witness_csv(outdir: Path, verdict) -> None:
 
     rows = [
         [_pair_id(pair), relation, repr(float(gap))]
-        for pair, relation, gap in getattr(verdict, "witnesses", []) or []
+        for pair, relation, gap in verdict.witnesses
     ]
     _write_csv(outdir / "witnesses.csv", ["pair_id", "relation", "gap"], rows)
 
@@ -476,14 +477,11 @@ def run(config: RunConfig, preset=None) -> int:
         code = _exit_for_stage(err.stage)
         print(f"pipeline failure: {err}", file=sys.stderr)
 
-    if report is not None:
-        (outdir / "report.txt").write_text(_global.report_to_text(report))
-        _emit_iteration_csv(outdir, report.iteration)
-        _emit_gate_csv(outdir, report.thresholds)
-        if report.obstructions is not None and hasattr(
-            report.obstructions, "witnesses"
-        ):
-            _emit_witness_csv(outdir, report.obstructions)
+    (outdir / "report.txt").write_text(_global.report_to_text(report))
+    _emit_iteration_csv(outdir, report.iteration)
+    _emit_gate_csv(outdir, report.thresholds)
+    if report.obstructions is not None:
+        _emit_witness_csv(outdir, report.obstructions)
     return code
 
 
@@ -567,8 +565,8 @@ def _gate_inputs(cfg):
 
 
 def _cmd_gate(args) -> int:
-    if not args.beta <= 0:
-        raise ConfigError(f"--beta must be <= 0, not {args.beta!r}")
+    if not (math.isfinite(args.beta) and args.beta <= 0):
+        raise ConfigError(f"--beta must be finite and <= 0, not {args.beta!r}")
     cfg = _load_config(args)
     mesh, geom, domain, lam = _gate_inputs(cfg)
     thresholds = _local.energy_gate(
@@ -584,8 +582,8 @@ def _cmd_gate(args) -> int:
 
 
 def _cmd_solve_local(args) -> int:
-    if not args.beta0 < 0:
-        raise ConfigError(f"--beta0 must be < 0, not {args.beta0!r}")
+    if not (math.isfinite(args.beta0) and args.beta0 < 0):
+        raise ConfigError(f"--beta0 must be finite and < 0, not {args.beta0!r}")
     cfg = _load_config(args)
     mesh, geom, domain, lam = _gate_inputs(cfg)
     try:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -60,12 +60,12 @@ __all__ = [
 
 
 class PipelineError(RuntimeError):
-    """Stage-tagged pipeline failure."""
+    """Stage-tagged pipeline failure; ``prescribe`` attaches its failure ``report``."""
 
-    def __init__(self, stage: str, message: str, report=None):
+    def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
-        self.report = report
+        self.report = None
 
 
 @dataclass
@@ -724,119 +724,92 @@ def prescribe(
     bracket is verified by ``_curvature`` off the boundary and, under Robin
     conditions, by the boundary rows.  A returned report's metadata holds
     the ``solution`` and the ``operators`` assembled for the input geometry.
+    Every ``PipelineError`` it raises carries ``err.report``: the results of
+    the stages that finished, with ``failed_stage`` and ``failure`` in its
+    verification.  The pipeline fills in a copy of ``config``, so reports
+    never share it with the caller.
     """
-    config = config or GluingConfig()
+    config = replace(config or GluingConfig())
     cst = DimensionConstants(3)
     route = geom.metadata.get("routing", "not-lcf-in-O")
     Sv = S.values
+    obstructions = thresholds = eig = u_minus = None
+    try:
+        if route == "scenario-a-sphere":
+            obstructions = _sphere.check_condition_a(mesh.vertices, Sv)
+            obstructions.metadata["sampler"] = "nearest-vertex sampler (value relations only)"
+            if obstructions.verdict == "fail":
+                raise PipelineError(
+                    "condition-a",
+                    f"target refused: CONDITION A fails with "
+                    f"{len(obstructions.witnesses)} witness pair(s)",
+                )
 
-    obstructions = None
-    if route == "scenario-a-sphere":
-        verdict = _sphere.check_condition_a(mesh.vertices, Sv)
-        verdict.metadata["sampler"] = "nearest-vertex sampler (value relations only)"
-        if verdict.verdict == "fail":
-            report = SolveReport(
-                pipeline_route="scenario-a-sphere",
+        ops = _operators.assemble(mesh, geom, cst, bc_mode=bc_mode)
+        if _is_constant(Sv) and float(
+            np.abs(geom.scalar_curvature.values
+                   - geom.scalar_curvature.values[0]).max()
+        ) <= 1e-12:
+            u, verification = _constant_route(S, ops)
+            return SolveReport(
+                pipeline_route="trivial-constant",
                 thresholds=None,
                 eig=None,
                 glue=config,
                 iteration=None,
-                verification={"min_u": 0.0, "refused": True},
-                obstructions=verdict,
-                metadata={"refusal": "CONDITION A failure"},
+                verification=verification,
+                obstructions=obstructions,
+                metadata={"accepted": verification["min_u"] > 0, "solution": u,
+                          "operators": ops},
             )
-            raise PipelineError(
-                "condition-a",
-                f"target refused: CONDITION A fails with "
-                f"{len(verdict.witnesses)} witness pair(s)",
-                report=report,
-            )
-        obstructions = verdict
 
-    ops = _operators.assemble(mesh, geom, cst, bc_mode=bc_mode)
-    if _is_constant(Sv) and float(
-        np.abs(geom.scalar_curvature.values
-               - geom.scalar_curvature.values[0]).max()
-    ) <= 1e-12:
-        u, verification = _constant_route(S, ops)
-        return SolveReport(
-            pipeline_route="trivial-constant",
-            thresholds=None,
-            eig=None,
-            glue=config,
-            iteration=None,
-            verification=verification,
-            obstructions=obstructions,
-            metadata={"accepted": verification["min_u"] > 0, "solution": u,
-                      "operators": ops},
-        )
+        # --- general bracket pipeline -------------------------------------
+        work_ops, factors = ops, []
+        if bc_mode == "robin":
+            v_h = positive_mean_curvature_normalization(work_ops)
+            if v_h.metadata["branch"] != "already-positive":
+                work_ops = _conformal_step(work_ops, v_h, factors,
+                                           v_h.metadata["boundary_flux"])
 
-    # --- general bracket pipeline -----------------------------------------
-    work_ops, factors = ops, []
-    if bc_mode == "robin":
-        v_h = positive_mean_curvature_normalization(work_ops)
-        if v_h.metadata["branch"] != "already-positive":
-            work_ops = _conformal_step(work_ops, v_h, factors, v_h.metadata["boundary_flux"])
+        domain, lam = _pick_region_domain(mesh, work_ops.geom, S)
+        if lam <= 0:
+            raise PipelineError("route-selection", "admissible level must be positive")
 
-    domain, lam = _pick_region_domain(mesh, work_ops.geom, S)
-    if lam <= 0:
-        raise PipelineError("route-selection", "admissible level must be positive")
+        Rdom = work_ops.geom.scalar_curvature.values[domain.vertex_set]
+        if Rdom.max() >= 0 and route in ("scenario-a-sphere", "not-lcf-in-O"):
+            v_neg = negative_scalar_normalization(int(domain.interior_set[0]), work_ops)
+            if v_neg.metadata["branch"] != "already-negative":
+                work_ops = _conformal_step(work_ops, v_neg, factors)
 
-    Rdom = work_ops.geom.scalar_curvature.values[domain.vertex_set]
-    if Rdom.max() >= 0 and route in ("scenario-a-sphere", "not-lcf-in-O"):
-        v_neg = negative_scalar_normalization(int(domain.interior_set[0]), work_ops)
-        if v_neg.metadata["branch"] != "already-negative":
-            work_ops = _conformal_step(work_ops, v_neg, factors)
-
-    # local stage: a bare solver error becomes a tagged pipeline failure
-    try:
-        if route == "lcf-manifold":
-            Qf = ScalarField(np.full(mesh.num_vertices, lam), mesh.mesh_id)
-            local = _local.solve_flat_punctured(mesh, domain, Qf, work_ops.geom, cst)
-            thresholds = None
-        else:
-            thresholds = _local.energy_gate(
-                mesh, domain, work_ops.geom, cst, lam, -0.1, ops=work_ops
-            )
-            if not thresholds.gate_pass:
-                raise PipelineError(
-                    "energy-gate",
-                    f"Q_eps = {thresholds.Q_eps:.6g} >= T_used = "
-                    f"{thresholds.metadata['T_used']:.6g}",
+        # local stage: a bare solver error becomes a tagged pipeline failure
+        try:
+            if route == "lcf-manifold":
+                Qf = ScalarField(np.full(mesh.num_vertices, lam), mesh.mesh_id)
+                local = _local.solve_flat_punctured(mesh, domain, Qf, work_ops.geom, cst)
+            else:
+                thresholds = _local.energy_gate(
+                    mesh, domain, work_ops.geom, cst, lam, -0.1, ops=work_ops
                 )
-            trace = _local.beta_continuation(
-                mesh, domain, work_ops.geom, cst, lam, -0.1, ops=work_ops,
-                gate=thresholds
-            )
-            local = trace.metadata.get("beta_zero_solution") or trace.solutions[-1]
-    except PipelineError:
-        raise
-    except (ValueError, RuntimeError) as err:
-        raise PipelineError("local-solve", str(err)) from err
+                if not thresholds.gate_pass:
+                    raise PipelineError(
+                        "energy-gate",
+                        f"Q_eps = {thresholds.Q_eps:.6g} >= T_used = "
+                        f"{thresholds.metadata['T_used']:.6g}",
+                    )
+                trace = _local.beta_continuation(
+                    mesh, domain, work_ops.geom, cst, lam, -0.1, ops=work_ops,
+                    gate=thresholds
+                )
+                local = trace.metadata.get("beta_zero_solution") or trace.solutions[-1]
+        except PipelineError:
+            raise
+        except (ValueError, RuntimeError) as err:
+            raise PipelineError("local-solve", str(err)) from err
 
-    u_minus = make_subsolution(local, domain, work_ops, S)
-    eig = _operators.first_eigenpair(
-        work_ops, mass="lumped", operator="conformal-lumped"
-    )
-
-    def _failure_report(stage, message):
-        return SolveReport(
-            pipeline_route=route,
-            thresholds=thresholds,
-            eig=eig,
-            glue=config,
-            iteration=None,
-            verification={
-                "failed_stage": stage,
-                "failure": message,
-                "min_u": 0.0,
-                "sub_weak_rows_max": u_minus.metadata["weak_rows_max"],
-            },
-            obstructions=obstructions,
-            metadata={"accepted": False},
+        u_minus = make_subsolution(local, domain, work_ops, S)
+        eig = _operators.first_eigenpair(
+            work_ops, mass="lumped", operator="conformal-lumped"
         )
-
-    try:
         if eig.eigenvalue <= 0:
             message = f"first eigenvalue {eig.eigenvalue:.6g} not positive on this route"
             for v in factors:
@@ -861,48 +834,59 @@ def prescribe(
         if not ineq["pass"]:
             raise PipelineError("verify-inequalities", f"bracket invalid: {ineq}")
         u, state = monotone_iterate(u_minus, u_plus, S, work_ops)
-    except PipelineError as err:
-        if err.report is None:
-            err.report = _failure_report(err.stage, str(err))
-        raise
 
-    # verification in the working geometry: the curvature off the boundary,
-    # the Robin rows on it
-    bnd = mesh.vertex_flags
-    res = float(np.abs(_curvature(work_ops, u.values) - Sv)[~bnd].max()) / max(
-        float(np.abs(Sv).max()), 1e-300
-    )
-    boundary_res = 0.0
-    if bc_mode == "robin":
-        rows = _lumped_rows(work_ops, u.values, Sv)
-        boundary_res = float(
-            np.abs(rows[bnd] / (cst.a * work_ops.boundary_mass_plain_lumped[bnd])).max()
+        # verification in the working geometry: the curvature off the
+        # boundary, the Robin rows on it
+        bnd = mesh.vertex_flags
+        res = float(np.abs(_curvature(work_ops, u.values) - Sv)[~bnd].max()) / max(
+            float(np.abs(Sv).max()), 1e-300
         )
-    verification = {
-        "curvature_residual_rel": res,
-        "min_u": float(u.values.min()),
-        "boundary_residual": boundary_res,
-        "ineq_report": ineq,
-    }
-    return SolveReport(
-        pipeline_route=route,
-        thresholds=thresholds,
-        eig=eig,
-        glue=config,
-        iteration=state,
-        verification=verification,
-        obstructions=obstructions,
-        metadata={
-            "accepted": bool(
-                u.values.min() > 0
-                and res <= 1e-4
-                and (bc_mode != "robin" or boundary_res <= 1e-6)
-            ),
-            "normalization_factors": factors,
-            "solution": u,
-            "operators": ops,
-        },
-    )
+        boundary_res = 0.0
+        if bc_mode == "robin":
+            rows = _lumped_rows(work_ops, u.values, Sv)
+            boundary_res = float(
+                np.abs(rows[bnd] / (cst.a * work_ops.boundary_mass_plain_lumped[bnd])).max()
+            )
+        verification = {
+            "curvature_residual_rel": res,
+            "min_u": float(u.values.min()),
+            "boundary_residual": boundary_res,
+            "ineq_report": ineq,
+        }
+        return SolveReport(
+            pipeline_route=route,
+            thresholds=thresholds,
+            eig=eig,
+            glue=config,
+            iteration=state,
+            verification=verification,
+            obstructions=obstructions,
+            metadata={
+                "accepted": bool(
+                    u.values.min() > 0
+                    and res <= 1e-4
+                    and (bc_mode != "robin" or boundary_res <= 1e-6)
+                ),
+                "normalization_factors": factors,
+                "solution": u,
+                "operators": ops,
+            },
+        )
+    except PipelineError as err:
+        verification = {"failed_stage": err.stage, "failure": str(err), "min_u": 0.0}
+        if u_minus is not None:
+            verification["sub_weak_rows_max"] = u_minus.metadata["weak_rows_max"]
+        err.report = SolveReport(
+            pipeline_route=route,
+            thresholds=thresholds,
+            eig=eig,
+            glue=config,
+            iteration=None,
+            verification=verification,
+            obstructions=obstructions,
+            metadata={"accepted": False},
+        )
+        raise
 
 
 # ---------------------------------------------------------------------------

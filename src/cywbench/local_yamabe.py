@@ -210,7 +210,6 @@ def energy_gate(
     a = constants.a
     n = constants.n
 
-    advisory = False
     Rvals = geom.scalar_curvature.values[domain.vertex_set]
     if beta == 0.0 and Rvals.max() >= 0:
         import warnings
@@ -220,7 +219,6 @@ def energy_gate(
             "standing hypothesis of the perturbed local solve violated; "
             "gate result is advisory only"
         )
-        advisory = True
 
     center, depth = _deep_interior_vertex(mesh, domain)
     radius = depth
@@ -263,7 +261,6 @@ def energy_gate(
         gate_pass=gate_pass,
         metadata={
             "T_used": T_used,
-            "advisory_only": advisory,
             "lambda": lam,
             "beta": beta,
             "center": center,
@@ -437,7 +434,8 @@ def solve_perturbed(
     """Positive Dirichlet solution of the perturbed critical equation.
 
     Requires a passing energy gate unless ``require_gate=False``; the gate
-    is computed on demand when not supplied.
+    is computed on demand when not supplied, and a supplied one must be at
+    (beta, lam).
     """
     if beta >= 0:
         raise ValueError("beta must be < 0 for the perturbed solve")
@@ -452,7 +450,9 @@ def solve_perturbed(
     if require_gate:
         if gate is None:
             gate = energy_gate(mesh, domain, geom, constants, lam, beta, ops=ops)
-        if not gate.gate_pass and not gate.metadata.get("advisory_only", False):
+        elif (gate.metadata["beta"], gate.metadata["lambda"]) != (beta, lam):
+            raise ValueError("gate was computed at another beta or lambda")
+        if not gate.gate_pass:
             raise RuntimeError(
                 f"energy gate failed: Q_eps = {gate.Q_eps:.6g} >= "
                 f"T_used = {gate.metadata['T_used']:.6g}"

@@ -631,11 +631,6 @@ def _certified_lu(A: csr_matrix):
     return lu if certified else None
 
 
-def _positive_definite(A: csr_matrix) -> bool:
-    """Whether symmetric ``A`` is positive definite, by its LU pivots."""
-    return _certified_lu(A) is not None
-
-
 def first_eigenpair(
     ops: AssembledOperators,
     mass: str = "consistent",

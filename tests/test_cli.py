@@ -343,11 +343,16 @@ def test_mesh_gen_writes_file(tmp_path):
     assert out.read_text().startswith("CYWMESH 1\n")
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_eigen_subcommand(tmp_path):
     code = cli.main(["eigen", "--preset", "round-s3", "--refinement", "1",
                      "--output-dir", str(tmp_path)])
     assert code == 0
-    rows = list(csv.reader(open(tmp_path / "eigen.csv")))
+    rows = _csv_rows(tmp_path / "eigen.csv")
     assert rows[0] == ["eigenvalue", "residual", "sign_change_free"]
     assert abs(float(rows[1][0]) - 6.0) < 1e-9
 
@@ -366,7 +371,7 @@ def test_prescribe_tau_sphere_exit_three(tmp_path):
     code = cli.main(["prescribe", "--preset", "round-s3", "--refinement",
                      "1", "--named-S", "tau", "--output-dir", str(tmp_path)])
     assert code == 3
-    rows = list(csv.reader(open(tmp_path / "witnesses.csv")))
+    rows = _csv_rows(tmp_path / "witnesses.csv")
     assert rows[0] == ["pair_id", "relation", "gap"]
     assert len(rows) > 1
 
@@ -402,7 +407,7 @@ def test_check_condition_a_exit_codes(tmp_path):
 
 def test_bench_empty_and_matrix(tmp_path):
     assert cli.main(["bench", "--output-dir", str(tmp_path / "b0")]) == 0
-    rows = list(csv.reader(open(tmp_path / "b0" / "bench.csv")))
+    rows = _csv_rows(tmp_path / "b0" / "bench.csv")
     assert rows == [["config", "vertices", "status", "seconds"]]
 
     cfg = "[run]\npreset = round-s3\nrefinement = {r}\n[S]\nkind = constant\nlevel = 6.0\n"
@@ -412,7 +417,7 @@ def test_bench_empty_and_matrix(tmp_path):
         p.write_text(cfg.format(r=r))
         paths.append(str(p))
     assert cli.main(["bench", *paths, "--output-dir", str(tmp_path / "b3")]) == 0
-    rows = list(csv.reader(open(tmp_path / "b3" / "bench.csv")))
+    rows = _csv_rows(tmp_path / "b3" / "bench.csv")
     assert len(rows) == 4  # header + 3 rows
     verts = [int(r[1]) for r in rows[1:]]
     assert verts == sorted(verts) and len(set(verts)) == 3  # strictly increasing
@@ -552,7 +557,7 @@ def _readme_local_cfg(tmp_path):
 
 
 def _gate_rows(outdir):
-    rows = list(csv.reader(open(outdir / "gate_sweep.csv")))
+    rows = _csv_rows(outdir / "gate_sweep.csv")
     assert rows[0] == ["epsilon", "quotient", "pure_quotient"]
     return rows[1:]
 
@@ -583,6 +588,8 @@ def test_solve_local_on_readme_local_cfg(tmp_path, capsys):
     ["gate", "--beta", "0.5"],
     ["solve", "local", "--beta0", "0.1"],
     ["solve", "local", "--beta0", "0"],
+    ["gate", "--beta=-inf"],
+    ["solve", "local", "--beta0=-inf"],
 ])
 def test_nonnegative_beta_exit_two_before_any_work(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -591,3 +598,18 @@ def test_nonnegative_beta_exit_two_before_any_work(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: --beta") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_prescribe_local_solve_refusal_writes_its_report(tmp_path):
+    # the continuation's solution is not positive on the interior, after the
+    # energy gate has passed
+    cfg = tmp_path / "refused.cfg"
+    cfg.write_text("[run]\npreset = bump-t3\nrefinement = 1\n\n[S]\nkind = admissible\n"
+                   "base = 1\nlevel = 1.0\nregion = ball(0,0,0,0.5)\n")
+    out = tmp_path / "out"
+    code = cli.main(["prescribe", "--config", str(cfg), "--output-dir", str(out)])
+    assert code == cli.EXIT_ITERATION
+    report = (out / "report.txt").read_text()
+    assert "\nfailed_stage 'local-solve'\n" in report
+    assert "\ngate_pass True\n" in report
+    assert len(_gate_rows(out)) == 6

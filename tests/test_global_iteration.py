@@ -292,6 +292,17 @@ def test_prescribe_rejects_inadmissible_target():
     with pytest.raises(gi.PipelineError) as err:
         gi.prescribe(mesh, geom, S)
     assert err.value.stage == "route-selection"
+    assert err.value.report.verification["failed_stage"] == err.value.stage
+
+
+def test_prescribe_refuses_a_negative_constant_target_with_its_report():
+    mesh, geom = preset("round-s3", 1)
+    S = ScalarField(np.full(mesh.num_vertices, -6.0), mesh.mesh_id)
+    with pytest.raises(gi.PipelineError) as err:
+        gi.prescribe(mesh, geom, S)
+    assert err.value.stage == "trivial-constant"
+    assert err.value.report.verification["failed_stage"] == err.value.stage
+    assert err.value.report.obstructions.verdict != "fail"
 
 
 def test_prescribe_refused_at_condition_a_skips_assembly(monkeypatch):
@@ -304,6 +315,8 @@ def test_prescribe_refused_at_condition_a_skips_assembly(monkeypatch):
     with pytest.raises(gi.PipelineError) as err:
         gi.prescribe(mesh, geom, odd)
     assert err.value.stage == "condition-a"
+    assert err.value.report.verification["failed_stage"] == err.value.stage
+    assert err.value.report.obstructions.witnesses
     assert calls == []
     gi.prescribe(mesh, geom, ScalarField(np.full(mesh.num_vertices, 6.0), mesh.mesh_id))
     assert calls == [1]
@@ -324,12 +337,14 @@ def test_report_to_text_roundtrip_determinism():
     assert "\n".join(with_ts.splitlines()[:1] + with_ts.splitlines()[2:]) + "\n" == t1
 
 
-def _bump_admissible_target(radius, preset_id="bump-t3"):
+def _bump_admissible_target(radius, preset_id="bump-t3", base=None):
     mesh, geom = preset(preset_id, 1)
     center = np.array([0.5, 0.5, 0.5])
     region = geometry.extract_subdomain(
         mesh, lambda v: np.einsum("ij,ij->i", v - center, v - center) < radius**2)
-    base = ScalarField(2.0 + np.sin(2.0 * np.pi * mesh.vertices[:, 0]), mesh.mesh_id)
+    if base is None:
+        base = 2.0 + np.sin(2.0 * np.pi * mesh.vertices[:, 0])
+    base = ScalarField(np.broadcast_to(base, mesh.num_vertices).copy(), mesh.mesh_id)
     S = geometry.construct_admissible_function(
         base, region, 1.0, 2.0 * mesh.min_edge_length(), mesh)
     return mesh, geom, S
@@ -342,6 +357,7 @@ def test_prescribe_tags_empty_local_domain():
         gi.prescribe(mesh, geom, S)
     assert err.value.stage == "route-selection"
     assert "empty interior" in str(err.value)
+    assert err.value.report.verification["failed_stage"] == err.value.stage
 
 
 def test_prescribe_tags_local_solve_failure(monkeypatch):
@@ -355,6 +371,37 @@ def test_prescribe_tags_local_solve_failure(monkeypatch):
         gi.prescribe(mesh, geom, S)
     assert err.value.stage == "local-solve"
     assert isinstance(err.value.__cause__, RuntimeError)
+    assert err.value.report.verification["failed_stage"] == err.value.stage
+
+
+def test_prescribe_energy_gate_refusal_reports_the_gate(monkeypatch):
+    mesh, geom, S = _bump_admissible_target(0.45)
+    gate = gi._local.energy_gate
+    monkeypatch.setattr(gi._local, "energy_gate",
+                        lambda *a, **k: dataclasses.replace(gate(*a, **k), gate_pass=False))
+    with pytest.raises(gi.PipelineError) as err:
+        gi.prescribe(mesh, geom, S)
+    assert err.value.stage == "energy-gate"
+    report = err.value.report
+    assert report.verification["failed_stage"] == err.value.stage
+    assert report.thresholds.gate_pass is False and report.eig is None
+
+
+def test_reports_do_not_share_the_callers_config():
+    # two targets through one GluingConfig: the second must not rewrite the
+    # first report's [glue] lines
+    config = gi.GluingConfig()
+    reports = []
+    for base in (None, 40.0):
+        mesh, geom, S = _bump_admissible_target(0.45, base=base)
+        with pytest.raises(gi.PipelineError) as err:
+            gi.prescribe(mesh, geom, S, config=config)
+        assert err.value.stage == "glue_supersolution"
+        reports.append(err.value.report)
+    first = gi.report_to_text(reports[0], timestamp=False)
+    assert "\ntheta 0.25\n" in first
+    assert "\ntheta 0.125\n" in gi.report_to_text(reports[1], timestamp=False)
+    assert config == gi.GluingConfig()
 
 
 def test_eigen_refusal_names_the_normalization_sign_flip():

@@ -99,6 +99,19 @@ def test_solve_perturbed_validation(gate_setup):
                                      ops=ops)
 
 
+def test_solve_perturbed_refuses_a_gate_at_another_beta_or_lambda(gate_setup):
+    mesh, geom, dom, ops, gate = gate_setup
+    init = local_yamabe.test_function(
+        mesh, dom, geom,
+        TestFunctionParams(gate.metadata["eps_star"], -0.1,
+                           gate.metadata["center"], gate.metadata["radius"]),
+    )
+    for lam, beta in ((1.0, -0.2), (2.0, -0.1)):
+        with pytest.raises(ValueError, match="another beta or lambda"):
+            local_yamabe.solve_perturbed(mesh, dom, geom, CST, lam, beta, init,
+                                         ops=ops, gate=gate)
+
+
 def test_solve_perturbed_positive_and_residual(gate_setup):
     mesh, geom, dom, ops, gate = gate_setup
     init = local_yamabe.test_function(
