@@ -216,26 +216,15 @@ def _output_dir(path=None) -> Path:
     return outdir
 
 
-def _float(section: dict, key: str, default=None) -> float:
+def _number(section: dict, key: str, default, kind):
+    """``kind(section[key])``, or ``default`` when the key is absent."""
     if key not in section:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(section[key])
+        return kind(section[key])
     except ValueError:
-        raise ConfigError(f"key {key!r}: {section[key]!r} is not a number")
-
-
-def _int(section: dict, key: str, default=None) -> int:
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(section[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: {section[key]!r} is not an integer")
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r}: {section[key]!r} is not {what}")
 
 
 _RUN_KEYS = ("preset", "refinement", "bc_mode", "output_dir")
@@ -260,7 +249,7 @@ def config_from_sections(sections: dict) -> RunConfig:
     _check_keys("[run] key", run_sec, _RUN_KEYS)
     cfg = RunConfig(
         preset=run_sec.get("preset", "flat-t3"),
-        refinement=_int(run_sec, "refinement", 1),
+        refinement=_number(run_sec, "refinement", 1, int),
         bc_mode=run_sec.get("bc_mode", "closed"),
         output_dir=run_sec.get("output_dir") or None,
     )
@@ -270,13 +259,13 @@ def config_from_sections(sections: dict) -> RunConfig:
         raise ConfigError(f"unknown S kind {kind!r}")
     _check_keys(f"[S] key for kind {kind}", s_sec, _S_KEYS[kind])
     if kind == "constant":
-        cfg.S_spec = {"kind": "constant", "level": _float(s_sec, "level", 1.0)}
+        cfg.S_spec = {"kind": "constant", "level": _number(s_sec, "level", 1.0, float)}
     elif kind == "admissible":
         spec = {
             "kind": "admissible",
             "base": s_sec.get("base", "1"),
             "region": s_sec.get("region", "marked"),
-            "level": _float(s_sec, "level", 1.0),
+            "level": _number(s_sec, "level", 1.0, float),
             "width": s_sec.get("width", "auto"),
         }
         spec["base_fn"] = parse_expression(spec["base"])  # validated and compiled once
@@ -286,10 +275,8 @@ def config_from_sections(sections: dict) -> RunConfig:
         if name not in _NAMED_SPHERE_FUNCTIONS:
             raise ConfigError(f"unknown named sphere function {name!r}")
         cfg.S_spec = {"kind": "named", "name": name}
-    cfg.tolerances = {
-        k: _float(sections.get("tolerances", {}), k)
-        for k in sections.get("tolerances", {})
-    }
+    tolerances = sections.get("tolerances", {})
+    cfg.tolerances = {k: _number(tolerances, k, None, float) for k in tolerances}
     return cfg.validated()
 
 
@@ -318,10 +305,10 @@ _NAMED_SPHERE_FUNCTIONS = {
 
 
 def _parse_region(mesh, geom, region_spec: str):
-    """Region spec: ``marked`` (preset marked region) or ``ball(cx,cy,cz,r)``."""
+    """Center and radius of ``marked`` (the preset's marked region) or ``ball(cx,cy,cz,r)``."""
     region_spec = region_spec.strip()
     if region_spec == "marked":
-        center = np.asarray(geom.metadata.get("marked_region_center"))
+        center = geom.metadata.get("marked_region_center")
         radius = geom.metadata.get("marked_region_radius")
         if center is None or radius is None:
             raise ConfigError("preset carries no marked region; give ball(...)")
@@ -335,22 +322,18 @@ def _parse_region(mesh, geom, region_spec: str):
                 f"ball(...) needs {mesh.vertices.shape[1]} center coordinates "
                 "and a radius"
             )
-        center, radius = np.array(nums[:-1]), nums[-1]
+        center, radius = nums[:-1], nums[-1]
     else:
         raise ConfigError(f"unknown region spec {region_spec!r}")
-
-    def pred(coords):
-        d = mesh.displacement(np.broadcast_to(center, coords.shape), coords)
-        return np.einsum("ij,ij->i", d, d) < float(radius) ** 2
-
-    return _geometry.extract_subdomain(mesh, pred)
+    return center, radius
 
 
 def build_target_field(mesh, geom, spec: dict) -> ScalarField:
     """Materialize the target curvature field described by an S_spec.
 
     An admissible spec carries its ``base`` expression compiled as
-    ``base_fn``, as ``config_from_sections`` builds it.
+    ``base_fn``, as ``config_from_sections`` builds it.  A region with no
+    interior or too small for its eroded core is a ``ConfigError``.
     """
     kind = spec["kind"]
     if kind == "constant":
@@ -366,15 +349,17 @@ def build_target_field(mesh, geom, spec: dict) -> ScalarField:
         except RecursionError as err:
             raise ConfigError("expression too deeply nested to evaluate") from err
         base = ScalarField(np.asarray(values, dtype=np.float64), mesh.mesh_id)
-        region = _parse_region(mesh, geom, spec["region"])
+        center, radius = _parse_region(mesh, geom, spec["region"])
         width = spec.get("width", "auto")
-        if width == "auto":
-            width = 2.0 * mesh.min_edge_length()
-        else:
-            width = float(width)
-        return _geometry.construct_admissible_function(
-            base, region, float(spec["level"]), width, mesh
-        )
+        width = 2.0 * mesh.min_edge_length() if width == "auto" else float(width)
+        try:
+            region = _geometry.ball_domain(mesh, center, radius)
+            return _geometry.construct_admissible_function(
+                base, region, float(spec["level"]), width, mesh
+            )
+        except ValueError as err:
+            raise ConfigError(
+                f"admissible target on region {spec['region']!r}: {err}") from err
     raise ConfigError(f"unknown S kind {kind!r}")
 
 
@@ -527,8 +512,6 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "constant_S", None) is not None:
         cfg.S_spec = {"kind": "constant", "level": float(args.constant_S)}
     if getattr(args, "named_S", None) is not None:
-        if args.named_S not in _NAMED_SPHERE_FUNCTIONS:
-            raise ConfigError(f"unknown named sphere function {args.named_S!r}")
         cfg.S_spec = {"kind": "named", "name": args.named_S}
     return cfg.validated()
 
@@ -586,9 +569,16 @@ def _cmd_solve_local(args) -> int:
         raise ConfigError(f"--beta0 must be finite and < 0, not {args.beta0!r}")
     cfg = _load_config(args)
     mesh, geom, domain, lam = _gate_inputs(cfg)
+    cst = DimensionConstants(3)
+    ops = _operators.assemble(mesh, geom, cst, bc_mode="dirichlet", domain=domain)
+    gate = _local.energy_gate(mesh, domain, geom, cst, lam, args.beta0, ops=ops)
+    if not gate.gate_pass:
+        print(f"energy gate failed: Q_eps {gate.Q_eps!r} T_used "
+              f"{gate.metadata['T_used']!r}", file=sys.stderr)
+        return EXIT_GATE
     try:
         trace = _local.beta_continuation(
-            mesh, domain, geom, DimensionConstants(3), lam, args.beta0
+            mesh, domain, geom, cst, lam, args.beta0, ops=ops, gate=gate
         )
     except (RuntimeError, ValueError) as err:
         print(f"continuation failure: {err}", file=sys.stderr)

@@ -23,6 +23,7 @@ Conventions
 from __future__ import annotations
 
 import ast
+import copy
 import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -42,6 +43,7 @@ __all__ = [
     "TRI_QW",
     "build_preset",
     "extract_subdomain",
+    "ball_domain",
     "make_punctured_domain",
     "mollify",
     "construct_admissible_function",
@@ -427,6 +429,20 @@ def _build_ball_mesh(m: int, mesh_id: str) -> Mesh:
     return Mesh(coords, tets, bfaces, bsign, mesh_id, {})
 
 
+def _build_annulus_mesh(m: int, mesh_id: str) -> Mesh:
+    """Ball mesh without the tets whose centroid lies inside radius 1/2, reindexed."""
+    ball = _build_ball_mesh(m, mesh_id)
+    centroids = ball.vertices[ball.tets].mean(axis=1)
+    tets = ball.tets[np.linalg.norm(centroids, axis=1) > 0.5]
+    used = np.unique(tets)
+    remap = -np.ones(ball.num_vertices, dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    tets = remap[tets]
+    verts = ball.vertices[used]
+    bfaces, bsign = _extract_boundary(verts, tets)
+    return Mesh(verts, tets, bfaces, bsign, mesh_id, {"inner_radius": 0.5})
+
+
 #: Eight children of a tet over the columns of ``corners`` in the refinement:
 #: four corner tets, then the octahedron split along the m02-m13 diagonal.
 _REFINED_TETS = np.array([[0, 4, 5, 6], [1, 4, 7, 8], [2, 5, 7, 9], [3, 6, 8, 9],
@@ -531,148 +547,69 @@ BALL_NEGR_R = -6.0
 BALL_NEGR_H0 = (2.0, 2.5)  # h0 = c0 + c1 * z on the boundary sphere
 
 
+_LCF = {"routing": "lcf-manifold", "locally_conformally_flat": True}
+_NOT_LCF = {"routing": "not-lcf-in-O", "locally_conformally_flat": False}
+_PRESET_METADATA = {
+    "round-s3": {"routing": "scenario-a-sphere", "locally_conformally_flat": True},
+    "flat-t3": _LCF,
+    "ball-negR": {**_NOT_LCF, "marked_region_center": [0.0, 0.0, 0.0],
+                  "marked_region_radius": 1.0},
+    # the jagged inner boundary is recorded, not smoothed
+    "annulus": {**_LCF, "topologically_admissible": True,
+                "frontier_quality": "jagged-inner-boundary"},
+    "bump-t3": {**_NOT_LCF, "marked_region_center": BUMP_T3_CENTER.tolist(),
+                "marked_region_radius": BUMP_T3_RADIUS},
+}
+
+
 def build_preset(preset_id: str, refinement: int):
     """Build a named preset mesh and its analytic geometry.
 
     Returns (Mesh, GeometrySpec).  Known presets: round-s3, flat-t3,
-    ball-negR, annulus, bump-t3.
+    ball-negR, annulus, bump-t3.  The vertex budget is checked on the
+    preset's exact vertex count (the ball grid's for the annulus) before
+    anything is built.
     """
     if preset_id not in PRESET_IDS:
         raise ValueError(f"unknown preset '{preset_id}' (known: {PRESET_IDS})")
     if refinement < 0:
         raise ValueError("refinement must be >= 0")
     mesh_id = f"{preset_id}-r{refinement}"
-
-    if preset_id == "round-s3":
-        if 16 * 8**refinement > 6 * _VERTEX_BUDGET:
-            raise ValueError("refinement exceeds the vertex budget")
-        mesh = _build_round_s3_mesh(refinement, mesh_id)
-        if mesh.num_vertices > _VERTEX_BUDGET:
-            raise ValueError("refinement exceeds the vertex budget")
-        metric, density, bdens = _round_s3_geometry_arrays(mesh)
-        R = ScalarField(np.full(mesh.num_vertices, 6.0), mesh_id)
-        geom = GeometrySpec(
-            metric,
-            density,
-            R,
-            None,
-            bdens,
-            preset_id,
-            metadata={
-                "routing": "scenario-a-sphere",
-                "locally_conformally_flat": True,
-            },
-        )
-        return mesh, geom
-
-    if preset_id in ("flat-t3", "bump-t3"):
-        m = 4 * 2**refinement
-        if (m**3) > _VERTEX_BUDGET:
-            raise ValueError("refinement exceeds the vertex budget")
-        mesh = _build_torus_mesh(m, mesh_id)
-        metric, density, bdens = _flat_geometry_arrays(mesh)
-        if preset_id == "flat-t3":
-            R = ScalarField(np.zeros(mesh.num_vertices), mesh_id)
-            psi = ScalarField(np.ones(mesh.num_vertices), mesh_id)
-            geom = GeometrySpec(
-                metric,
-                density,
-                R,
-                None,
-                bdens,
-                preset_id,
-                conformal_flat_factor=psi,
-                metadata={
-                    "routing": "lcf-manifold",
-                    "locally_conformally_flat": True,
-                },
-            )
-            return mesh, geom
-        # bump-t3: flat torus carrying a sign-varying curvature coefficient
-        d = mesh.displacement(
-            np.broadcast_to(BUMP_T3_CENTER, mesh.vertices.shape), mesh.vertices
-        )
-        d2 = np.einsum("ij,ij->i", d, d)
-        Rvals = BUMP_T3_BACKGROUND - BUMP_T3_DEPTH * _bump_profile(d2, BUMP_T3_RADIUS)
-        R = ScalarField(Rvals, mesh_id)
-        geom = GeometrySpec(
-            metric,
-            density,
-            R,
-            None,
-            bdens,
-            preset_id,
-            metadata={
-                "routing": "not-lcf-in-O",
-                "locally_conformally_flat": False,
-                "marked_region_center": BUMP_T3_CENTER.tolist(),
-                "marked_region_radius": BUMP_T3_RADIUS,
-            },
-        )
-        return mesh, geom
-
-    # bounded flat presets
     m = 4 * 2**refinement
-    if (m + 1) ** 3 > _VERTEX_BUDGET:
+    count, build, size = {
+        "round-s3": ((16 * 8**refinement + 32 * 2**refinement) // 6,
+                     _build_round_s3_mesh, refinement),
+        "flat-t3": (m**3, _build_torus_mesh, m),
+        "bump-t3": (m**3, _build_torus_mesh, m),
+        "ball-negR": ((m + 1) ** 3, _build_ball_mesh, m),
+        "annulus": ((m + 1) ** 3, _build_annulus_mesh, m),
+    }[preset_id]
+    if count > _VERTEX_BUDGET:
         raise ValueError("refinement exceeds the vertex budget")
-    ball = _build_ball_mesh(m, mesh_id)
+    mesh = build(size, mesh_id)
+    sampler = _round_s3_geometry_arrays if preset_id == "round-s3" else _flat_geometry_arrays
+    metric, density, bdens = sampler(mesh)
 
-    if preset_id == "ball-negR":
-        mesh = ball
-        metric, density, bdens = _flat_geometry_arrays(mesh)
-        R = ScalarField(np.full(mesh.num_vertices, BALL_NEGR_R), mesh_id)
-        hvals = np.zeros(mesh.num_vertices)
+    n = mesh.num_vertices
+    R = np.full(n, {"round-s3": 6.0, "ball-negR": BALL_NEGR_R}.get(preset_id, 0.0))
+    h = None if mesh.is_closed else np.zeros(n)
+    if preset_id == "bump-t3":
+        # flat torus carrying a sign-varying curvature coefficient
+        d = mesh.displacement(np.broadcast_to(BUMP_T3_CENTER, mesh.vertices.shape),
+                              mesh.vertices)
+        R = BUMP_T3_BACKGROUND - BUMP_T3_DEPTH * _bump_profile(
+            np.einsum("ij,ij->i", d, d), BUMP_T3_RADIUS)
+    elif preset_id == "ball-negR":
         bnd = mesh.vertex_flags
         c0, c1 = BALL_NEGR_H0
-        hvals[bnd] = c0 + c1 * mesh.vertices[bnd, 2]
-        h = ScalarField(hvals, mesh_id)
-        geom = GeometrySpec(
-            metric,
-            density,
-            R,
-            h,
-            bdens,
-            preset_id,
-            metadata={
-                "routing": "not-lcf-in-O",
-                "locally_conformally_flat": False,
-                "marked_region_center": [0.0, 0.0, 0.0],
-                "marked_region_radius": 1.0,
-            },
-        )
-        return mesh, geom
-
-    # annulus: remove tets whose centroid lies inside radius 1/2, reindex
-    centroids = ball.vertices[ball.tets].mean(axis=1)
-    keep = np.linalg.norm(centroids, axis=1) > 0.5
-    tets = ball.tets[keep]
-    used = np.unique(tets)
-    remap = -np.ones(ball.num_vertices, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    tets = remap[tets]
-    verts = ball.vertices[used]
-    bfaces, bsign = _extract_boundary(verts, tets)
-    mesh = Mesh(verts, tets, bfaces, bsign, mesh_id, {"inner_radius": 0.5})
-    metric, density, bdens = _flat_geometry_arrays(mesh)
-    R = ScalarField(np.zeros(mesh.num_vertices), mesh_id)
-    hvals = np.zeros(mesh.num_vertices)
-    h = ScalarField(hvals, mesh_id)
-    psi = ScalarField(np.ones(mesh.num_vertices), mesh_id)
-    # frontier quality: jagged inner boundary recorded, not smoothed
+        h[bnd] = c0 + c1 * mesh.vertices[bnd, 2]
+    metadata = copy.deepcopy(_PRESET_METADATA[preset_id])
+    psi = np.ones(n) if metadata["routing"] == "lcf-manifold" else None
     geom = GeometrySpec(
-        metric,
-        density,
-        R,
-        h,
-        bdens,
-        preset_id,
-        conformal_flat_factor=psi,
-        metadata={
-            "routing": "lcf-manifold",
-            "locally_conformally_flat": True,
-            "topologically_admissible": True,
-            "frontier_quality": "jagged-inner-boundary",
-        },
+        metric, density, ScalarField(R, mesh_id),
+        None if h is None else ScalarField(h, mesh_id), bdens, preset_id,
+        conformal_flat_factor=None if psi is None else ScalarField(psi, mesh_id),
+        metadata=metadata,
     )
     return mesh, geom
 
@@ -710,6 +647,20 @@ def extract_subdomain(mesh: Mesh, predicate: Callable[[np.ndarray], np.ndarray])
         raise ValueError("selection has empty interior")
     frontier = np.flatnonzero(frontier_mask)
     return Domain(np.flatnonzero(sel), interior, frontier, mesh.mesh_id)
+
+
+def ball_domain(mesh: Mesh, center, radius: float) -> Domain:
+    """The :func:`extract_subdomain` of the open chart ball |x - center| < radius.
+
+    Distances honor a periodic chart's wrap.
+    """
+    center = np.asarray(center, dtype=np.float64)
+
+    def pred(v):
+        d = mesh.displacement(np.broadcast_to(center, v.shape), v)
+        return np.einsum("ij,ij->i", d, d) < float(radius) ** 2
+
+    return extract_subdomain(mesh, pred)
 
 
 def make_punctured_domain(
@@ -798,10 +749,13 @@ def construct_admissible_function(
 ) -> ScalarField:
     """Flatten ``base`` to the constant ``level`` on a region, smoothly.
 
-    The output equals ``level`` exactly on the region interior eroded by
-    ``width``, equals ``base`` outside the region dilated by ``width``, and
-    transitions by mollification in between.  Region and level are recorded
-    in the metadata so downstream routing can recognize the function class.
+    The output equals ``level`` exactly on the core, the region eroded by
+    ``width`` (:func:`erode_region`), equals ``base`` outside the region
+    dilated by ``width``, and transitions by mollification in between.  The
+    level and the core, as a vertex mask, are recorded in the metadata as
+    ``admissible_level`` and ``admissible_core``: the core is the open set
+    on which the target is a positive constant, where the local solve runs.
+    A level <= 0 or an empty core is a ``ValueError``.
     """
     if level <= 0:
         raise ValueError("level must be > 0")
@@ -822,8 +776,7 @@ def construct_admissible_function(
     out.metadata.update(
         {
             "admissible_level": float(level),
-            "admissible_region": region.vertex_set.tolist(),
-            "admissible_width": float(width),
+            "admissible_core": core,
         }
     )
     return out
@@ -832,9 +785,10 @@ def construct_admissible_function(
 def erode_region(mesh: Mesh, vertex_set: np.ndarray, width: float) -> np.ndarray:
     """Boolean mask of the region eroded by graph distance ``width``.
 
-    :func:`construct_admissible_function` pins its level on this core, so
-    the core is exactly where a constructed admissible function is
-    guaranteed to equal its constant level.
+    :func:`construct_admissible_function` pins its level on this core and
+    records it as ``admissible_core``, so the core is exactly where a
+    constructed admissible function is guaranteed to equal its constant
+    level.  No other module erodes a region.
     """
     n = mesh.num_vertices
     sel = np.zeros(n, dtype=bool)

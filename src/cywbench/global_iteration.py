@@ -662,40 +662,36 @@ def _constant_route(S, ops):
 
 
 def _pick_region_domain(mesh, geom, S):
-    """Domain for the local stage: the S-admissibility region metadata.
+    """Domain and level of the local stage, where S is a positive constant.
 
-    Every failure, an empty domain included, is a ``route-selection``
-    ``PipelineError``.
+    An admissible S (``construct_admissible_function``) gives its recorded
+    core and level; a constant S on a preset with a marked region gives the
+    marked ball (``geometry.ball_domain``) and that constant.  Every
+    route-selection refusal is made here, as a ``route-selection``
+    ``PipelineError``: no such region, a core or ball that is not a valid
+    domain (an empty one included), and a nonpositive level.
     """
     meta = S.metadata
-    if "admissible_region" in meta:
-        # the solve domain sits inside the region, eroded to where the
-        # constructed function is exactly its constant level
-        sel = _geometry.erode_region(
-            mesh,
-            np.asarray(meta["admissible_region"], dtype=np.int64),
-            float(meta.get("admissible_width", 0.0)),
-        )
-        pred, lam = (lambda _: sel), float(meta["admissible_level"])
-    elif not (_is_constant(S.values) and "marked_region_radius" in geom.metadata):
-        raise PipelineError(
-            "route-selection",
-            "S is neither admissible-class (region metadata) nor constant "
-            "on a preset with a marked region",
-        )
-    else:  # globally constant S on a marked-region preset
-        center = np.asarray(geom.metadata["marked_region_center"])
-        radius = float(geom.metadata["marked_region_radius"])
-
-        def pred(v):
-            d = mesh.displacement(np.broadcast_to(center, v.shape), v)
-            return np.einsum("ij,ij->i", d, d) < radius**2
-
-        lam = float(S.values[0])
     try:
-        return _geometry.extract_subdomain(mesh, pred), lam
+        if "admissible_core" in meta:
+            core = meta["admissible_core"]
+            domain = _geometry.extract_subdomain(mesh, lambda _: core)
+            lam = float(meta["admissible_level"])
+        elif _is_constant(S.values) and "marked_region_radius" in geom.metadata:
+            domain = _geometry.ball_domain(mesh, geom.metadata["marked_region_center"],
+                                           geom.metadata["marked_region_radius"])
+            lam = float(S.values[0])
+        else:
+            raise PipelineError(
+                "route-selection",
+                "S is neither admissible-class (region metadata) nor constant "
+                "on a preset with a marked region",
+            )
     except ValueError as err:
         raise PipelineError("route-selection", str(err)) from err
+    if lam <= 0:
+        raise PipelineError("route-selection", "admissible level must be positive")
+    return domain, lam
 
 
 def _conformal_step(ops: AssembledOperators, v: ScalarField, factors: list,
@@ -772,8 +768,6 @@ def prescribe(
                                            v_h.metadata["boundary_flux"])
 
         domain, lam = _pick_region_domain(mesh, work_ops.geom, S)
-        if lam <= 0:
-            raise PipelineError("route-selection", "admissible level must be positive")
 
         Rdom = work_ops.geom.scalar_curvature.values[domain.vertex_set]
         if Rdom.max() >= 0 and route in ("scenario-a-sphere", "not-lcf-in-O"):

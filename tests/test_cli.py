@@ -459,6 +459,8 @@ def test_console_entry_point():
     "prescribe --preset round-s3 --refinement 1 --bc-mode robin --constant-S 6",
     "mesh gen --preset nope --refinement 0",
     "gate --preset round-s3 --refinement 1 --constant-S 6",
+    "gate --preset bump-t3 --refinement 1 --constant-S -1",
+    "solve local --preset bump-t3 --refinement 1 --constant-S 0",
     "bench {nope}",
 ])
 def test_invalid_input_exit_two(command, tmp_path):
@@ -468,14 +470,37 @@ def test_invalid_input_exit_two(command, tmp_path):
     assert cli.main(argv) == cli.EXIT_CONFIG
 
 
-def test_prescribe_empty_local_domain_exit_two(tmp_path):
+@pytest.mark.parametrize("region", [
+    "ball(0.5,0.5,0.5,0.4)",  # its eroded core has no interior
+    "ball(0.5,0.5,0.5,0.2)",  # the region has no interior
+    "ball(0.5,0.5,0.5,0.3)\nwidth = 0.5",  # too small for any core
+], ids=["core-0.4", "region-0.2", "width-0.5"])
+@pytest.mark.parametrize("command", ["prescribe", "gate", "solve local"])
+def test_prescribe_empty_local_domain_exit_two(command, region, tmp_path, capsys):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("[run]\npreset = bump-t3\nrefinement = 1\n"
                    "[S]\nkind = admissible\nbase = 2 + sin(2*pi*x)\n"
-                   "level = 1.0\nregion = ball(0.5,0.5,0.5,0.4)\n")
-    code = cli.main(["prescribe", "--config", str(cfg), "--output-dir",
-                     str(tmp_path / "out")])
+                   f"level = 1.0\nregion = {region}\n")
+    code = cli.main(command.split() + ["--config", str(cfg), "--output-dir",
+                                       str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_solve_local_gate_failure_exit_four(tmp_path, capsys):
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text("[run]\npreset = bump-t3\nrefinement = 1\n"
+                   "[S]\nkind = admissible\nbase = 1\nlevel = 1.0\n"
+                   "region = ball(0,0,0,0.5)\n")
+    argv = ["--config", str(cfg), "--output-dir", str(tmp_path / "out")]
+    assert cli.main(["gate"] + argv) == cli.EXIT_GATE
+    gate_line = capsys.readouterr().out
+    assert cli.main(["solve", "local"] + argv) == cli.EXIT_GATE
+    err = capsys.readouterr().err
+    assert err.startswith("energy gate failed: Q_eps ")
+    # the same quotient and threshold the gate command prints
+    assert gate_line.split()[1] in err and gate_line.split()[3] in err
+    assert not (tmp_path / "out" / "continuation.txt").exists()
 
 
 def test_prescribe_eigen_scaling_failure_exit_code(tmp_path, capsys):

@@ -100,6 +100,19 @@ def test_unknown_preset_rejected():
         geometry.build_preset("no-such-preset", 1)
 
 
+@pytest.mark.parametrize("pid,count", [
+    ("round-s3", 32), ("flat-t3", 512), ("bump-t3", 512),
+    ("ball-negR", 729), ("annulus", 729),  # the annulus is cut from the ball grid
+])
+def test_vertex_budget_is_checked_on_the_exact_count(pid, count, monkeypatch):
+    monkeypatch.setattr(geometry, "_VERTEX_BUDGET", count - 1)
+    with pytest.raises(ValueError, match="vertex budget"):
+        geometry.build_preset(pid, 1)
+    monkeypatch.setattr(geometry, "_VERTEX_BUDGET", count)
+    mesh, _ = geometry.build_preset(pid, 1)
+    assert mesh.num_vertices == count or pid == "annulus"
+
+
 @pytest.mark.parametrize("pid,refinement,conformal",
                          [(p, r, False) for p in geometry.PRESET_IDS for r in (0, 1)]
                          + [("bump-t3", 1, True)])
@@ -187,17 +200,19 @@ def test_erode_region_subset_and_identity():
 # ---------------------------------------------------------------------------
 
 
-def _ball_domain(mesh, center, radius):
-    def pred(v):
-        d = mesh.displacement(np.broadcast_to(center, v.shape), v)
-        return np.einsum("ij,ij->i", d, d) < radius**2
-
-    return geometry.extract_subdomain(mesh, pred)
+def test_ball_domain_wraps_on_the_torus():
+    mesh, _ = preset("flat-t3", 1)
+    dom = geometry.ball_domain(mesh, [0.0, 0.0, 0.0], 0.3)
+    chosen = mesh.vertices[dom.vertex_set]
+    # the chart ball around the origin reaches across the periodic wrap
+    assert (chosen[:, 0] > 0.5).any()
+    d = mesh.displacement(np.zeros_like(mesh.vertices), mesh.vertices)
+    assert np.array_equal(dom.vertex_set, np.flatnonzero(np.einsum("ij,ij->i", d, d) < 0.09))
 
 
 def test_construct_admissible_function_contract():
     mesh, _ = preset("flat-t3", 2)
-    region = _ball_domain(mesh, [0.5, 0.5, 0.5], 0.3)
+    region = geometry.ball_domain(mesh, [0.5, 0.5, 0.5], 0.3)
     base = ScalarField(
         2.0 + np.sin(2 * np.pi * mesh.vertices[:, 0]), mesh.mesh_id
     )
@@ -205,6 +220,8 @@ def test_construct_admissible_function_contract():
     level = 1.5
     S = geometry.construct_admissible_function(base, region, level, width, mesh)
     core = geometry.erode_region(mesh, region.vertex_set, width)
+    assert np.array_equal(S.metadata["admissible_core"], core)
+    assert S.metadata["admissible_level"] == level
     assert np.all(S.values[core] == level)
     outside = ~region.mask(mesh.num_vertices)
     far = geometry.erode_region(mesh, np.flatnonzero(outside), width)
@@ -216,7 +233,7 @@ def test_construct_admissible_function_contract():
 
 def test_construct_admissible_function_rejects_bad_width():
     mesh, _ = preset("flat-t3", 1)
-    region = _ball_domain(mesh, [0.5, 0.5, 0.5], 0.3)
+    region = geometry.ball_domain(mesh, [0.5, 0.5, 0.5], 0.3)
     base = ScalarField(np.ones(mesh.num_vertices), mesh.mesh_id)
     with pytest.raises(ValueError):
         geometry.construct_admissible_function(base, region, 1.0, -0.1, mesh)

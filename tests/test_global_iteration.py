@@ -118,6 +118,21 @@ def test_glue_supersolution_blend_branch():
     assert gi._dominance_bound(ops, u1.values, dom, S.values) is None
 
 
+@pytest.mark.parametrize("drift", [True, False])
+def test_transition_cutoff_solves_its_band(drift):
+    mesh, _ = preset("bump-t3", 1)
+    gamma = 0.1
+    w = gamma * np.sin(2 * np.pi * mesh.vertices[:, 0])
+    hi, lo = w >= gamma / 2, w <= -gamma / 2
+    band = ~(hi | lo)
+    assert band.sum() == 128  # the planes x = 0 and x = 1/2
+    chi = gi._transition_cutoff(assembled("bump-t3", 1), w, gamma, drift)
+    assert np.all(chi[hi] == 1.0) and np.all(chi[lo] == 0.0)
+    assert np.all((chi[band] > 0) & (chi[band] < 1))
+    # each band plane sits halfway between a plane at 1 and a plane at 0
+    assert np.allclose(chi[band], 0.5, atol=1e-12)
+
+
 def test_gluing_config_validation():
     with pytest.raises(ValueError):
         gi.GluingConfig(gamma=-1.0).validated()
