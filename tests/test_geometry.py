@@ -110,7 +110,7 @@ def test_vertex_budget_is_checked_on_the_exact_count(pid, count, monkeypatch):
         geometry.build_preset(pid, 1)
     monkeypatch.setattr(geometry, "_VERTEX_BUDGET", count)
     mesh, _ = geometry.build_preset(pid, 1)
-    assert mesh.num_vertices == count or pid == "annulus"
+    assert (mesh.num_vertices < count) if pid == "annulus" else (mesh.num_vertices == count)
 
 
 @pytest.mark.parametrize("pid,refinement,conformal",
