@@ -266,7 +266,8 @@ def config_from_sections(sections: dict) -> RunConfig:
             "base": s_sec.get("base", "1"),
             "region": s_sec.get("region", "marked"),
             "level": _number(s_sec, "level", 1.0, float),
-            "width": s_sec.get("width", "auto"),
+            "width": ("auto" if s_sec.get("width", "auto") == "auto"
+                      else _number(s_sec, "width", None, float)),
         }
         spec["base_fn"] = parse_expression(spec["base"])  # validated and compiled once
         cfg.S_spec = spec
@@ -351,7 +352,7 @@ def build_target_field(mesh, geom, spec: dict) -> ScalarField:
         base = ScalarField(np.asarray(values, dtype=np.float64), mesh.mesh_id)
         center, radius = _parse_region(mesh, geom, spec["region"])
         width = spec.get("width", "auto")
-        width = 2.0 * mesh.min_edge_length() if width == "auto" else float(width)
+        width = 2.0 * mesh.min_edge_length() if width == "auto" else width
         try:
             region = _geometry.ball_domain(mesh, center, radius)
             return _geometry.construct_admissible_function(

@@ -6,7 +6,11 @@ Conventions
 * ``assemble`` builds the sorted pair pattern of its cells once per call
   (``_PairPattern``) and sums K, M and M_R onto it, one ``np.bincount``
   each; the boundary pair M_b, M_h share the faces' pattern.  The matrices
-  are canonical CSR.  Nothing is cached across calls.
+  are canonical CSR.  Nothing is cached across calls.  The pattern finds
+  each undirected edge of the cells once, by one ``np.unique`` of the
+  edge keys, and sorts only the diagonals of the vertices in the cells and
+  the two directed keys of each edge, so a tet gives 6 keys to the
+  ``np.unique`` instead of 16 to an argsort.
 * ``mass`` M, ``curvature_mass`` M_R are consistent (order-2 quadrature).
 * ``boundary_mass`` M_h carries the Robin weight (2a/(p-2)) * h_g.
 * ``AssembledOperators.add_robin`` is the one place that adds the Robin
@@ -96,25 +100,43 @@ class _PairPattern:
     for a corner to leave out.  ``pairs`` are the flat positions of the
     kept pairs in an element-matrix array (cell, row corner, column corner),
     ``slots`` the pattern entry of each, and the pattern is given as sorted
-    keys row * n + col and as CSR ``indices``/``indptr``.  ``scatter``
-    adds element matrices onto the pattern in cell order, so an entry that
-    only some cells touch gets the same sum whatever other cells are
-    present.
+    keys row * n + col and as CSR ``indices``/``indptr``: the diagonal of
+    every vertex in the cells and both directions of every edge (two kept
+    corners of a cell with distinct vertices).  ``scatter`` adds element
+    matrices onto the pattern in cell order, so an entry that only some
+    cells touch gets the same sum whatever other cells are present.
     """
 
     def __init__(self, cells: np.ndarray, n: int):
         nc = cells.shape[1]
-        rows = np.repeat(cells, nc, axis=1).ravel()
-        cols = np.tile(cells, (1, nc)).ravel()
         self.n = n
-        self.pairs = np.flatnonzero((rows >= 0) & (cols >= 0))
-        keys = (rows * n + cols)[self.pairs]
+        corner = cells >= 0
+        self.pairs = np.flatnonzero(np.repeat(corner, nc, axis=1) & np.tile(corner, (1, nc)))
+        # the pattern: the diagonal of every vertex in the cells and both
+        # directed keys of every undirected edge, each edge found once
+        cu, cv = np.triu_indices(nc, 1)
+        a, b = cells[:, cu], cells[:, cv]
+        edge = corner[:, cu] & corner[:, cv] & (a != b)
+        edges, edge_of = np.unique((np.minimum(a, b) * n + np.maximum(a, b))[edge],
+                                   return_inverse=True)
+        verts = np.flatnonzero(np.bincount(cells[corner], minlength=n))
+        keys = np.concatenate((verts * n + verts, edges, edges % n * n + edges // n))
         order = np.argsort(keys)
-        keys = keys[order]
-        first = np.flatnonzero(np.diff(keys, prepend=-1))  # each key's first place
-        self.keys = keys[first]
-        self.slots = np.empty_like(order)
-        self.slots[order] = np.repeat(np.arange(first.size), np.diff(first, append=keys.size))
+        self.keys = keys[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        # the slot of each (cell, row corner, column corner): its vertex's
+        # diagonal, or its edge's key in the direction row -> column
+        diag = np.zeros(n, dtype=rank.dtype)
+        diag[verts] = rank[:verts.size]
+        forward, backward = diag[a], diag[b]  # a == b reads the diagonal
+        at = verts.size + edge_of
+        forward[edge] = rank[at + edges.size * (a > b)[edge]]
+        backward[edge] = rank[at + edges.size * (a < b)[edge]]
+        slot = np.empty((len(cells), nc * nc), dtype=rank.dtype)
+        slot[:, np.arange(nc) * (nc + 1)] = diag[cells]
+        slot[:, cu * nc + cv], slot[:, cv * nc + cu] = forward, backward
+        self.slots = slot.ravel()[self.pairs]
         self.indices = self.keys % n
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(self.keys // n,
                                                                  minlength=n))))

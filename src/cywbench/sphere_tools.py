@@ -5,6 +5,10 @@ callable evaluated once per unit vector, or (CONDITION A) an array of values
 at the samples, read as nearest-sample values.  Gradients are central finite
 differences of the degree-0 homogeneous extension Q''(x) = Q(x/|x|), so they
 are automatically tangential; a check evaluates all its points in one batch.
+When the difference stencil stays inside the pairing tolerance, an array
+target is read at the samples only: every shifted point's nearest sample is
+its own base point, so its difference gradients are exactly zero and no
+shifted point is looked up.
 The pair relations are evaluated in frame-free form, as arrays over all
 pairs: with tau_hat the unit vector from P toward P', a pair passes when
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -68,6 +73,13 @@ class SpherePoint:
         self.ambient = np.asarray(self.ambient, dtype=np.float64)
         if abs(np.linalg.norm(self.ambient) - 1.0) > 1e-12:
             raise ValueError("sphere point must be a unit vector (within 1e-12)")
+
+    @classmethod
+    def _unit(cls, ambient: np.ndarray) -> "SpherePoint":
+        """A point from a float row already checked to be a unit vector."""
+        point = object.__new__(cls)
+        point.ambient = ambient
+        return point
 
     @property
     def tau(self) -> float:
@@ -157,12 +169,13 @@ def _pointwise(Q: Callable) -> Callable:
 RELATIONS = ("value-equality", "tangential-gradient", "axis-gradient")
 
 
-def _check_pairs(points, values_of, pairs, metadata):
-    """Shared relation checker: pairs is a (k, 2) array of indices into points."""
+def _check_pairs(points, pairs, sample, metadata):
+    """Shared relation checker: pairs is a (k, 2) array of indices into points,
+    and ``sample(points)`` gives the values of Q and the gradients of Q'' there."""
     radii = np.sqrt(np.vecdot(points, points))
     if (np.abs(radii - 1.0) > 1e-12).any():
         raise ValueError("sphere point must be a unit vector (within 1e-12)")
-    qvals, grads = _samples(values_of, points)
+    qvals, grads = sample(points)
     qmax = float(np.abs(qvals).max()) if len(qvals) else 0.0
     val_tol = VALUE_TOL * (1.0 + qmax)
     gmax = float(np.linalg.norm(grads, axis=1).max()) if len(grads) else 0.0
@@ -181,13 +194,16 @@ def _check_pairs(points, values_of, pairs, metadata):
         np.sqrt(np.vecdot(tang, tang)),
         np.abs(np.vecdot(grads[i] - grads[j], tau_hat)),
     ])
-    # each pair reports the first relation it breaks, in RELATIONS order
+    # each pair reports the first relation it breaks, in RELATIONS order;
+    # its points are rows of ``points``, whose radii were checked above
     broken = gaps > np.array([val_tol, grad_tol, grad_tol])[:, None]
-    witnesses = []
-    for k in np.flatnonzero(broken.any(axis=0)):
-        r = int(np.argmax(broken[:, k]))
-        pair = (SpherePoint(points[i[k]].copy()), SpherePoint(points[j[k]].copy()))
-        witnesses.append((pair, RELATIONS[r], float(gaps[r, k])))
+    k = np.flatnonzero(broken.any(axis=0))
+    r = np.argmax(broken[:, k], axis=0)
+    witnesses = [
+        ((SpherePoint._unit(a), SpherePoint._unit(b)), RELATIONS[rel], gap)
+        for a, b, rel, gap in zip(points[i[k]], points[j[k]], r.tolist(),
+                                  gaps[r, k].tolist())
+    ]
 
     if witnesses:
         verdict = "fail"
@@ -223,15 +239,13 @@ def check_condition_a(
     spacing.  ``Q`` is a callable, evaluated once per point, or an (m,)
     array of values at ``points`` read as nearest-sample values; their
     difference gradients vanish, so only the value relation can fail
-    (``prescribe`` notes the form as the verdict's ``sampler``).
+    (``prescribe`` notes the form as the verdict's ``sampler``).  An array
+    is looked up at the shifted points only when the difference stencil
+    reaches past the pairing tolerance.
     """
     points = np.asarray(points, dtype=np.float64)
     tree = cKDTree(points)
-    if callable(Q):
-        values_of = _pointwise(Q)
-    else:
-        sampled = np.asarray(Q, dtype=np.float64).reshape(len(points))
-        values_of = lambda X: sampled[tree.query(X)[1]]  # noqa: E731
+    values = None if callable(Q) else np.asarray(Q, dtype=np.float64).reshape(len(points))
     d2, _ = tree.query(points, k=2)
     pair_tolerance = 0.5 * float(d2[:, 1].min())
     dist, idx = tree.query(-points)
@@ -244,7 +258,18 @@ def check_condition_a(
         )
     first = np.flatnonzero(np.arange(len(idx)) < idx)
     pairs = np.column_stack([first, idx[first]])
-    return _check_pairs(points, values_of, pairs, {"pairing": "antipodal"})
+    if values is None:
+        sample = partial(_samples, _pointwise(Q))
+    elif 2.0 * np.arcsin(FD_STEP) < pair_tolerance:
+        # a shifted point lies within arcsin(FD_STEP) of its base point and
+        # every other sample at least twice the tolerance away, so both ends
+        # of each difference read the base value: (q - q) / (2 FD_STEP) is
+        # zero, or NaN where q is not finite, as the lookups would give
+        fd = np.repeat((values - values)[:, None] / (2.0 * FD_STEP), points.shape[1], axis=1)
+        sample = lambda _: (values, fd)  # noqa: E731
+    else:
+        sample = partial(_samples, lambda X: values[tree.query(X)[1]])
+    return _check_pairs(points, pairs, sample, {"pairing": "antipodal"})
 
 
 def check_condition_b(
@@ -261,7 +286,8 @@ def check_condition_b(
            for a, b in pairing for p in (a, b)]
     points = np.array(pts).reshape(len(pts), -1) if pts else np.empty((0, 0))
     pairs = np.arange(len(pts)).reshape(-1, 2)
-    return _check_pairs(points, _pointwise(Q), pairs, {"pairing": "explicit"})
+    return _check_pairs(points, pairs, partial(_samples, _pointwise(Q)),
+                        {"pairing": "explicit"})
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,20 @@ def test_prescribe_empty_local_domain_exit_two(tmp_path, capsys):
             assert "Traceback" not in capsys.readouterr().err
 
 
+def test_admissible_width_must_be_a_number(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[run]\npreset = bump-t3\nrefinement = 0\n"
+                   "[S]\nkind = admissible\nbase = 2\nlevel = 1.0\nwidth = wide\n")
+    code = cli.main(["prescribe", "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'wide' is not a number" in err and "Traceback" not in err
+    for width, want in (("auto", "auto"), ("0.25", 0.25)):
+        text = cfg.read_text().replace("width = wide", f"width = {width}")
+        spec = cli.config_from_sections(cli.parse_config_text(text)).S_spec
+        assert spec["width"] == want
+
+
 def test_solve_local_gate_failure_exit_four(tmp_path, capsys):
     cfg = tmp_path / "gate.cfg"
     cfg.write_text("[run]\npreset = bump-t3\nrefinement = 1\n"

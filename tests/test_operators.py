@@ -389,6 +389,74 @@ def test_free_quadrature_pattern_matches_unique_oracle():
         assert np.array_equal(getattr(fq._pattern, name), value), name
 
 
+def _argsort_pattern(cells, n):
+    """The pair pattern as one argsort of every pair key built it, kept as an oracle."""
+    nc = cells.shape[1]
+    rows = np.repeat(cells, nc, axis=1).ravel()
+    cols = np.tile(cells, (1, nc)).ravel()
+    pairs = np.flatnonzero((rows >= 0) & (cols >= 0))
+    keys = (rows * n + cols)[pairs]
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))  # each key's first place
+    slots = np.empty_like(order)
+    slots[order] = np.repeat(np.arange(first.size), np.diff(first, append=keys.size))
+    keys = keys[first]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+    return dict(pairs=pairs, slots=slots, keys=keys, indices=keys % n, indptr=indptr)
+
+
+@pytest.mark.parametrize("refinement", [0, 1, 2])
+@pytest.mark.parametrize("preset_id", ["round-s3", "ball-negR", "bump-t3", "annulus", "flat-t3"])
+def test_pair_pattern_matches_argsort_oracle(preset_id, refinement, monkeypatch):
+    """Every pattern that assemble and FreeQuadrature build, and every sum
+    they scatter onto it, bitwise as the argsort construction gives them."""
+    mesh, geom = preset(preset_id, refinement)
+    inner = np.flatnonzero(~mesh.vertex_flags)  # none on annulus r0
+    center = mesh.vertices[inner[0] if inner.size else 0]
+    reach = np.linalg.norm(mesh.displacement(center[None, :], mesh.vertices), axis=1)
+    radius = 0.75 * reach.max()
+    dom = geometry.ball_domain(mesh, center, radius) if inner.size else None
+    built, scattered = [], []
+
+    class Recorded(operators._PairPattern):
+        def __init__(self, cells, n):
+            super().__init__(cells, n)
+            built.append((cells, n, self))
+
+        def scatter(self, local):
+            out = super().scatter(local)
+            scattered.append((self, local, out))
+            return out
+
+    monkeypatch.setattr(operators, "_PairPattern", Recorded)
+    faces = bool(mesh.boundary_faces.size)
+    modes = ["closed"] + ["robin"] * faces + ["dirichlet"] * (dom is not None)
+    for bc_mode in modes:
+        ops = operators.assemble(mesh, geom, CST, bc_mode=bc_mode, domain=dom)
+    fq = ops.free_quadrature(np.flatnonzero(reach < radius) if dom is None
+                             else dom.interior_set)
+    assert (fq._cells < 0).any()
+    fq.weighted_mass(np.ones_like(fq.density))
+    # per mode the tets (K, M, M_R) and the faces (M_b, M_h), where there
+    # are any; one free block
+    assert len(built) == len(modes) * (1 + faces) + 1
+    assert len(scattered) == len(modes) * (3 + 2 * faces) + 1
+    oracles = {}
+    for cells, n, pattern in built:
+        want = oracles[id(pattern)] = _argsort_pattern(cells, n)
+        for name, value in want.items():
+            got = getattr(pattern, name)
+            assert got.dtype == value.dtype and np.array_equal(got, value), name
+    for pattern, local, out in scattered:
+        want = oracles[id(pattern)]
+        data = np.bincount(want["slots"], local.ravel()[want["pairs"]],
+                           minlength=want["keys"].size)
+        assert np.array_equal(out.indptr, want["indptr"])
+        assert np.array_equal(out.indices, want["indices"])
+        assert out.data.tobytes() == data.tobytes()
+
+
 def _interior_rows_equal(got, want, interior):
     if want is None:
         return got is None

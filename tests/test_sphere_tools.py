@@ -148,13 +148,18 @@ def _loop_gradient(Q, P):
 def _loop_condition_a(points, Q):
     """Oracle: the scalar pair loop, pairing by nearest antipode."""
     _, idx = cKDTree(points).query(-points)
+    return _loop_pairs(points, [(i, int(j)) for i, j in enumerate(idx) if i < j], Q)
+
+
+def _loop_pairs(points, pairs, Q):
+    """Oracle: the scalar loop over the given index pairs."""
     qvals = np.array([float(Q(p)) for p in points])
     qmax = float(np.abs(qvals).max())
     val_tol = sph.VALUE_TOL * (1.0 + qmax)
     grads = np.array([_loop_gradient(Q, p) for p in points])
     grad_tol = sph.GRAD_TOL * (1.0 + float(np.linalg.norm(grads, axis=1).max()))
     witnesses = []
-    for i, j in [(i, int(j)) for i, j in enumerate(idx) if i < j]:
+    for i, j in pairs:
         tau_hat = (points[j] - points[i]) / np.linalg.norm(points[j] - points[i])
         gap_v = abs(qvals[i] - qvals[j])
         gsum = grads[i] + grads[j]
@@ -244,3 +249,95 @@ def test_condition_b_rejects_coinciding_pair():
     a = sph.SpherePoint([0.0, 0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="degenerate pair"):
         sph.check_condition_b(lambda p: float(p[-1] ** 2), [(a, a)])
+
+
+# ---------------------------------------------------------------------------
+# CONDITION A on sample values: the array path against the sampled path
+# ---------------------------------------------------------------------------
+
+
+def _nearest_sample(points, values):
+    """Q as the value of the nearest sample, one lookup per point."""
+    tree = cKDTree(points)
+    return lambda z: float(values[tree.query(z)[1]])
+
+
+def _same_verdict(got, want):
+    assert got.verdict == want.verdict
+    assert got.metadata == want.metadata
+    assert [(a.ambient.tobytes(), b.ambient.tobytes(), kind, gap)
+            for (a, b), kind, gap in got.witnesses] == [
+        (a.ambient.tobytes(), b.ambient.tobytes(), kind, gap)
+        for (a, b), kind, gap in want.witnesses]
+
+
+def _counted_samples(monkeypatch):
+    calls = []
+    samples = sph._samples
+
+    def counted(values_of, points):
+        calls.append(len(points))
+        return samples(values_of, points)
+
+    monkeypatch.setattr(sph, "_samples", counted)
+    return calls
+
+
+@pytest.mark.parametrize("refinement", [1, 2, 3])
+@pytest.mark.parametrize("target", ["constant", "odd", "even", "random"])
+def test_condition_a_array_path_matches_sampled_path(refinement, target, monkeypatch):
+    mesh, _ = preset("round-s3", refinement)
+    x = mesh.vertices
+    a = np.array([0.3, -0.5, 0.1, 0.8])
+    values = {"constant": np.full(len(x), 6.0), "odd": x[:, -1], "even": (x @ a) ** 2,
+              "random": np.random.default_rng(refinement).normal(size=len(x))}[target]
+    calls = _counted_samples(monkeypatch)
+    got = sph.check_condition_a(x, values)
+    assert calls == []  # the stencil stays inside the pairing tolerance
+    want = sph.check_condition_a(x, _nearest_sample(x, values))
+    assert calls == [len(x)]
+    _same_verdict(got, want)
+    assert got.verdict == {"constant": "pass-iii", "odd": "fail", "even": "pass-ii",
+                           "random": "fail"}[target]
+    for (p, q), _, _ in got.witnesses:
+        assert isinstance(p, sph.SpherePoint) and p.ambient.shape == (4,)
+        assert np.array_equal(p.ambient, -q.ambient)
+
+
+def test_condition_a_dense_samples_take_the_sampled_path(monkeypatch):
+    # a cap of samples spaced closer than the stencil's reach, and its antipodes
+    rng = np.random.default_rng(7)
+    cap = np.column_stack([rng.uniform(-4e-5, 4e-5, size=(40, 3)), np.ones(40)])
+    cap /= np.sqrt(np.einsum("ij,ij->i", cap, cap))[:, None]
+    points = np.concatenate([cap, -cap])
+    spacing = cKDTree(points).query(points, k=2)[0][:, 1].min()
+    assert 0.5 * spacing < np.arcsin(sph.FD_STEP)
+    values = np.concatenate([cap[:, 0], cap[:, 0]])
+    calls = _counted_samples(monkeypatch)
+    got = sph.check_condition_a(points, values)
+    assert calls == [80]
+    want = sph.check_condition_a(points, _nearest_sample(points, values))
+    _same_verdict(got, want)
+    # the lookups reach other samples, so the gradients are not all zero
+    assert got.verdict == "pass-i"
+
+
+@pytest.mark.parametrize("name", ["tau", "cubic"])
+def test_condition_b_witnesses_match_per_point_loop(name):
+    mesh, _ = preset("round-s3", 2)
+    Q, _ = _TARGETS[name]
+    rng = np.random.default_rng(3)
+    order = rng.permutation(mesh.num_vertices)
+    points = mesh.vertices[order]
+    pairing = [(sph.SpherePoint(points[k]), sph.SpherePoint(points[k + 1]))
+               for k in range(0, len(points), 2)]
+    verdict = sph.check_condition_b(Q, pairing)
+    want, val_tol, grad_tol = _loop_pairs(points, np.arange(len(points)).reshape(-1, 2), Q)
+    assert verdict.verdict == "fail"
+    assert _witness_key(verdict.witnesses) == [
+        (a.tobytes(), b.tobytes(), kind) for (a, b), kind, _ in want]
+    gaps = np.array([gap for *_, gap in verdict.witnesses])
+    assert np.allclose(gaps, [gap for *_, gap in want], rtol=1e-12, atol=0.0)
+    assert all(type(gap) is float for *_, gap in verdict.witnesses)
+    assert verdict.metadata["value_tolerance"] == pytest.approx(val_tol, rel=1e-12)
+    assert verdict.metadata["gradient_tolerance"] == pytest.approx(grad_tol, rel=1e-12)
