@@ -237,11 +237,11 @@ def check_condition_a(
     ``points`` is an (m, d) array of unit vectors; every point must have an
     antipodal partner among the samples within half the minimum sample
     spacing.  ``Q`` is a callable, evaluated once per point, or an (m,)
-    array of values at ``points`` read as nearest-sample values; their
-    difference gradients vanish, so only the value relation can fail
-    (``prescribe`` notes the form as the verdict's ``sampler``).  An array
-    is looked up at the shifted points only when the difference stencil
-    reaches past the pairing tolerance.
+    array of values at ``points`` read as nearest-sample values
+    (``prescribe`` notes the form as the verdict's ``sampler``).  When the
+    difference stencil stays inside the pairing tolerance, an array's
+    difference gradients vanish, so only the value relation can fail, and
+    the shifted points are not looked up.
     """
     points = np.asarray(points, dtype=np.float64)
     tree = cKDTree(points)
