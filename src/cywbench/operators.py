@@ -97,15 +97,14 @@ class _PairPattern:
     """The sorted pair pattern of the element matrices of a cell set.
 
     ``cells`` holds each cell's corners as indices in ``range(n)``, or -1
-    for a corner to leave out; a nonempty cell set keeps some corner.
-    ``pairs`` are the flat positions of the kept pairs in an element-matrix
-    array (cell, row corner, column corner), ``slots`` the pattern entry of
-    each, and the pattern is given as sorted keys row * n + col and as CSR
-    ``indices``/``indptr``: the diagonal of every vertex in the cells and
-    both directions of every edge (two kept corners of a cell with distinct
-    vertices).  ``scatter`` adds element matrices onto the pattern in cell
-    order, so an entry that only some cells touch gets the same sum
-    whatever other cells are present.
+    for a corner to leave out.  ``pairs`` are the flat positions of the kept
+    pairs in an element-matrix array (cell, row corner, column corner),
+    ``slots`` the pattern entry of each, and the pattern is given as sorted
+    keys row * n + col and as CSR ``indices``/``indptr``: the diagonal of
+    every vertex in the cells and both directions of every edge (two kept
+    corners of a cell with distinct vertices).  ``scatter`` adds element
+    matrices onto the pattern in cell order, so an entry that only some
+    cells touch gets the same sum whatever other cells are present.
     """
 
     def __init__(self, cells: np.ndarray, n: int):
@@ -118,9 +117,8 @@ class _PairPattern:
         cu, cv = np.triu_indices(nc, 1)
         a, b = cells[:, cu], cells[:, cv]
         edge = corner[:, cu] & corner[:, cv] & (a != b)
-        found, edge_of = np.unique(np.where(edge, np.minimum(a, b) * n + np.maximum(a, b), -1),
-                                   return_inverse=True)  # -1: no edge
-        edges = found[found >= 0]
+        edges, edge_of = np.unique((np.minimum(a, b) * n + np.maximum(a, b))[edge],
+                                   return_inverse=True)
         verts = np.flatnonzero(np.bincount(cells[corner], minlength=n))
         keys = np.concatenate((verts * n + verts, edges, edges % n * n + edges // n))
         order = np.argsort(keys)
@@ -131,9 +129,10 @@ class _PairPattern:
         # diagonal, or its edge's key in the direction row -> column
         diag = np.zeros(n, dtype=rank.dtype)
         diag[verts] = rank[:verts.size]
-        at = verts.size + edges.size - found.size + edge_of  # -1 sorts first
-        forward = np.where(edge, rank[at + edges.size * (a > b)], diag[a])
-        backward = np.where(edge, rank[at + edges.size * (a < b)], diag[b])
+        forward, backward = diag[a], diag[b]  # a == b reads the diagonal
+        at = verts.size + edge_of
+        forward[edge] = rank[at + edges.size * (a > b)[edge]]
+        backward[edge] = rank[at + edges.size * (a < b)[edge]]
         slot = np.empty((len(cells), nc * nc), dtype=rank.dtype)
         slot[:, np.arange(nc) * (nc + 1)] = diag[cells]
         slot[:, cu * nc + cv], slot[:, cv * nc + cu] = forward, backward
