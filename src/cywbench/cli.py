@@ -204,8 +204,8 @@ class RunConfig:
         for key, val in self.tolerances.items():
             if key != "gamma":
                 raise ConfigError(f"unknown tolerance {key!r}; [tolerances] takes gamma")
-            if float(val) <= 0:
-                raise ConfigError(f"tolerance override {key!r} must be > 0")
+            if not 0 < float(val) < math.inf:
+                raise ConfigError(f"tolerance override {key!r} must be finite and > 0")
         return self
 
 
@@ -338,13 +338,11 @@ def build_target_field(mesh, geom, spec: dict) -> ScalarField:
     """
     kind = spec["kind"]
     if kind == "constant":
-        return ScalarField(
-            np.full(mesh.num_vertices, float(spec["level"])), mesh.mesh_id
-        )
-    if kind == "named":
+        S = ScalarField(np.full(mesh.num_vertices, float(spec["level"])), mesh.mesh_id)
+    elif kind == "named":
         vals = _NAMED_SPHERE_FUNCTIONS[spec["name"]](mesh.vertices)
-        return ScalarField(np.asarray(vals, dtype=np.float64), mesh.mesh_id)
-    if kind == "admissible":
+        S = ScalarField(np.asarray(vals, dtype=np.float64), mesh.mesh_id)
+    elif kind == "admissible":
         try:
             values = spec["base_fn"](mesh.vertices)
         except RecursionError as err:
@@ -355,13 +353,19 @@ def build_target_field(mesh, geom, spec: dict) -> ScalarField:
         width = 2.0 * mesh.min_edge_length() if width == "auto" else width
         try:
             region = _geometry.ball_domain(mesh, center, radius)
-            return _geometry.construct_admissible_function(
+            S = _geometry.construct_admissible_function(
                 base, region, float(spec["level"]), width, mesh
             )
         except ValueError as err:
             raise ConfigError(
                 f"admissible target on region {spec['region']!r}: {err}") from err
-    raise ConfigError(f"unknown S kind {kind!r}")
+    else:
+        raise ConfigError(f"unknown S kind {kind!r}")
+    bad = int(np.count_nonzero(~np.isfinite(S.values)))
+    if bad:
+        raise ConfigError(f"{kind} target S is not finite at {bad} of "
+                          f"{mesh.num_vertices} vertices")
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +407,7 @@ def _emit_gate_csv(outdir: Path, thresholds) -> None:
 
 def _emit_witness_csv(outdir: Path, verdict) -> None:
     def _pair_id(pair):
-        a, b = pair
-        if isinstance(a, (int, np.integer)):
-            return f"{a}-{b}"
-        return "-".join(
-            "(" + ",".join(f"{c:.3g}" for c in np.asarray(getattr(p, "ambient", p))) + ")"
-            for p in (a, b)
-        )
+        return "-".join("(" + ",".join(f"{c:.3g}" for c in p.ambient) + ")" for p in pair)
 
     rows = [
         [_pair_id(pair), relation, repr(float(gap))]

@@ -78,8 +78,8 @@ class GluingConfig:
     beta_margin: Optional[float] = None
 
     def validated(self) -> "GluingConfig":
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and > 0")
         return self
 
 
@@ -718,27 +718,33 @@ def prescribe(
     the energy gate and the continuation read only the domain's interior
     rows and columns, bitwise those of a Dirichlet assembly.  An accepted
     bracket is verified by ``_curvature`` off the boundary and, under Robin
-    conditions, by the boundary rows.  A returned report's metadata holds
-    the ``solution`` and the ``operators`` assembled for the input geometry.
-    Every ``PipelineError`` it raises carries ``err.report``: the results of
-    the stages that finished, with ``failed_stage`` and ``failure`` in its
-    verification.  The pipeline fills in a copy of ``config``, so reports
-    never share it with the caller.
+    conditions, by the boundary rows.
+
+    The one ``SolveReport`` is created at entry, with a copy of ``config``
+    as its ``glue`` (reports never share it with the caller), and filled in
+    stage by stage: each stage writes its result into it once.  A returned
+    report's metadata holds the ``solution`` and the ``operators`` assembled
+    for the input geometry.  Every ``PipelineError`` it raises carries the
+    same report as ``err.report``: the results of the stages that finished,
+    with ``failed_stage`` and ``failure`` in its verification.
     """
-    config = replace(config or GluingConfig())
+    report = SolveReport(
+        pipeline_route=geom.metadata.get("routing", "not-lcf-in-O"), thresholds=None,
+        eig=None, glue=replace(config or GluingConfig()), iteration=None, verification={},
+        metadata={"accepted": False},
+    )
     cst = DimensionConstants(3)
-    route = geom.metadata.get("routing", "not-lcf-in-O")
+    route = report.pipeline_route
     Sv = S.values
-    obstructions = thresholds = eig = u_minus = None
     try:
         if route == "scenario-a-sphere":
-            obstructions = _sphere.check_condition_a(mesh.vertices, Sv)
-            obstructions.metadata["sampler"] = "nearest-vertex sampler (value relations only)"
-            if obstructions.verdict == "fail":
+            report.obstructions = ob = _sphere.check_condition_a(mesh.vertices, Sv)
+            ob.metadata["sampler"] = "nearest-vertex sampler (value relations only)"
+            if ob.verdict == "fail":
                 raise PipelineError(
                     "condition-a",
                     f"target refused: CONDITION A fails with "
-                    f"{len(obstructions.witnesses)} witness pair(s)",
+                    f"{len(ob.witnesses)} witness pair(s)",
                 )
 
         ops = _operators.assemble(mesh, geom, cst, bc_mode=bc_mode)
@@ -746,18 +752,11 @@ def prescribe(
             np.abs(geom.scalar_curvature.values
                    - geom.scalar_curvature.values[0]).max()
         ) <= 1e-12:
-            u, verification = _constant_route(S, ops)
-            return SolveReport(
-                pipeline_route="trivial-constant",
-                thresholds=None,
-                eig=None,
-                glue=config,
-                iteration=None,
-                verification=verification,
-                obstructions=obstructions,
-                metadata={"accepted": verification["min_u"] > 0, "solution": u,
-                          "operators": ops},
-            )
+            u, report.verification = _constant_route(S, ops)
+            report.pipeline_route = "trivial-constant"
+            report.metadata.update(accepted=report.verification["min_u"] > 0,
+                                   solution=u, operators=ops)
+            return report
 
         # --- general bracket pipeline -------------------------------------
         work_ops, factors = ops, []
@@ -781,18 +780,18 @@ def prescribe(
                 Qf = ScalarField(np.full(mesh.num_vertices, lam), mesh.mesh_id)
                 local = _local.solve_flat_punctured(mesh, domain, Qf, work_ops.geom, cst)
             else:
-                thresholds = _local.energy_gate(
+                report.thresholds = gate = _local.energy_gate(
                     mesh, domain, work_ops.geom, cst, lam, -0.1, ops=work_ops
                 )
-                if not thresholds.gate_pass:
+                if not gate.gate_pass:
                     raise PipelineError(
                         "energy-gate",
-                        f"Q_eps = {thresholds.Q_eps:.6g} >= T_used = "
-                        f"{thresholds.metadata['T_used']:.6g}",
+                        f"Q_eps = {gate.Q_eps:.6g} >= T_used = "
+                        f"{gate.metadata['T_used']:.6g}",
                     )
                 trace = _local.beta_continuation(
                     mesh, domain, work_ops.geom, cst, lam, -0.1, ops=work_ops,
-                    gate=thresholds
+                    gate=gate
                 )
                 local = trace.metadata.get("beta_zero_solution") or trace.solutions[-1]
         except PipelineError:
@@ -801,7 +800,9 @@ def prescribe(
             raise PipelineError("local-solve", str(err)) from err
 
         u_minus = make_subsolution(local, domain, work_ops, S)
-        eig = _operators.first_eigenpair(
+        # kept for a failure report; the accepted return replaces it
+        report.verification["sub_weak_rows_max"] = u_minus.metadata["weak_rows_max"]
+        report.eig = eig = _operators.first_eigenpair(
             work_ops, mass="lumped", operator="conformal-lumped"
         )
         if eig.eigenvalue <= 0:
@@ -814,20 +815,19 @@ def prescribe(
                 message += ("; the continuous problem keeps the sign of the first "
                             "eigenvalue under conformal change")
             raise PipelineError("eigen", message)
-        theta, phi_s = scale_eigenfunction(eig, S, work_ops)
-        config.theta = theta
+        report.glue.theta, phi_s = scale_eigenfunction(eig, S, work_ops)
         # margin beta = max over the region of (eta_1 phi - 2^{p-2} lam phi^{p-1})
-        config.beta_margin = float(
+        report.glue.beta_margin = float(
             (
                 eig.eigenvalue * phi_s.values
                 - 2.0 ** (cst.p - 2.0) * lam * phi_s.values ** (cst.p - 1.0)
             )[domain.vertex_set].max()
         )
-        u_plus = glue_supersolution(local, phi_s, domain, config, work_ops, S)
+        u_plus = glue_supersolution(local, phi_s, domain, report.glue, work_ops, S)
         ineq = verify_inequalities(u_minus, u_plus, S, work_ops)
         if not ineq["pass"]:
             raise PipelineError("verify-inequalities", f"bracket invalid: {ineq}")
-        u, state = monotone_iterate(u_minus, u_plus, S, work_ops)
+        u, report.iteration = monotone_iterate(u_minus, u_plus, S, work_ops)
 
         # verification in the working geometry: the curvature off the
         # boundary, the Robin rows on it
@@ -841,45 +841,21 @@ def prescribe(
             boundary_res = float(
                 np.abs(rows[bnd] / (cst.a * work_ops.boundary_mass_plain_lumped[bnd])).max()
             )
-        verification = {
+        report.verification = {
             "curvature_residual_rel": res,
             "min_u": float(u.values.min()),
             "boundary_residual": boundary_res,
             "ineq_report": ineq,
         }
-        return SolveReport(
-            pipeline_route=route,
-            thresholds=thresholds,
-            eig=eig,
-            glue=config,
-            iteration=state,
-            verification=verification,
-            obstructions=obstructions,
-            metadata={
-                "accepted": bool(
-                    u.values.min() > 0
-                    and res <= 1e-4
-                    and (bc_mode != "robin" or boundary_res <= 1e-6)
-                ),
-                "normalization_factors": factors,
-                "solution": u,
-                "operators": ops,
-            },
+        report.metadata.update(
+            accepted=bool(u.values.min() > 0 and res <= 1e-4
+                          and (bc_mode != "robin" or boundary_res <= 1e-6)),
+            normalization_factors=factors, solution=u, operators=ops,
         )
+        return report
     except PipelineError as err:
-        verification = {"failed_stage": err.stage, "failure": str(err), "min_u": 0.0}
-        if u_minus is not None:
-            verification["sub_weak_rows_max"] = u_minus.metadata["weak_rows_max"]
-        err.report = SolveReport(
-            pipeline_route=route,
-            thresholds=thresholds,
-            eig=eig,
-            glue=config,
-            iteration=None,
-            verification=verification,
-            obstructions=obstructions,
-            metadata={"accepted": False},
-        )
+        report.verification.update(failed_stage=err.stage, failure=str(err), min_u=0.0)
+        err.report = report
         raise
 
 

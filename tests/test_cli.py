@@ -502,6 +502,27 @@ def test_admissible_width_must_be_a_number(tmp_path, capsys):
         assert spec["width"] == want
 
 
+@pytest.mark.parametrize("entry, want", [
+    ("[S]\nkind = admissible\nbase = 1\nlevel = nan\n", "admissible target S is not finite"),
+    ("[S]\nkind = admissible\nbase = 1\nlevel = inf\n", "admissible target S is not finite"),
+    ("[S]\nkind = admissible\nbase = 1/0\n", "admissible target S is not finite"),
+    ("[S]\nkind = admissible\nbase = exp(1000)\n", "admissible target S is not finite"),
+    ("[S]\nkind = constant\nlevel = nan\n", "constant target S is not finite"),
+    ("[tolerances]\ngamma = nan\n", "'gamma' must be finite and > 0"),
+    ("[tolerances]\ngamma = inf\n", "'gamma' must be finite and > 0"),
+], ids=["level-nan", "level-inf", "base-one-over-zero", "base-exp-1000", "constant-nan",
+        "gamma-nan", "gamma-inf"])
+@pytest.mark.parametrize("command", ["prescribe", "gate"])
+def test_non_finite_target_or_gamma_exit_two(entry, want, command, tmp_path, capsys):
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text("[run]\npreset = bump-t3\nrefinement = 1\n" + entry)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and want in err and "Traceback" not in err
+    assert not (out / "report.txt").exists()
+
+
 def test_solve_local_gate_failure_exit_four(tmp_path, capsys):
     cfg = tmp_path / "gate.cfg"
     cfg.write_text("[run]\npreset = bump-t3\nrefinement = 1\n"

@@ -134,8 +134,10 @@ def test_transition_cutoff_solves_its_band(drift):
 
 
 def test_gluing_config_validation():
-    with pytest.raises(ValueError):
-        gi.GluingConfig(gamma=-1.0).validated()
+    for gamma in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            gi.GluingConfig(gamma=gamma).validated()
+    assert gi.GluingConfig(gamma=0.5).validated().gamma == 0.5
 
 
 def test_monotone_iterate_trivial_fixed_point():
@@ -492,6 +494,57 @@ def test_prescribe_assembles_once_on_the_bracket_route(monkeypatch):
         gi.prescribe(mesh, geom, S)
     assert err.value.stage == "glue_supersolution"
     assert calls == ["closed"]
+
+
+def test_prescribe_returns_the_accepted_bracket_report(monkeypatch):
+    # no input reaches an accepted bracket, so the three stages after the
+    # eigenfunction scaling are stubbed on the bump-glue target
+    mesh, geom, S = _bump_admissible_target(0.45)
+    n = mesh.num_vertices
+    u_plus = ScalarField(np.full(n, 2.0), mesh.mesh_id)
+    u = ScalarField(np.ones(n), mesh.mesh_id)
+    ineq = {"pass": True, "sub_weak_rows_max": -1.5}
+    state = gi.IterationState(shift_k=2.5, iterates=[u_plus, u], residuals=[0.5, 0.0],
+                              bracket_violations=0)
+    calls = []
+
+    def glue(local, phi_s, domain, config, ops, S_):
+        calls.append(("glue", config.theta))
+        return u_plus
+
+    def verify(u_minus, u_plus_, S_, ops):
+        calls.append(("verify", u_plus_ is u_plus))
+        return ineq
+
+    def iterate(u_minus, u_plus_, S_, ops):
+        calls.append(("iterate", u_plus_ is u_plus))
+        return u, state
+
+    monkeypatch.setattr(gi, "glue_supersolution", glue)
+    monkeypatch.setattr(gi, "verify_inequalities", verify)
+    monkeypatch.setattr(gi, "monotone_iterate", iterate)
+    report = gi.prescribe(mesh, geom, S)
+    assert calls == [("glue", 0.25), ("verify", True), ("iterate", True)]
+    assert report.pipeline_route == "not-lcf-in-O"
+    assert report.iteration is state
+    assert report.thresholds.gate_pass and report.eig.eigenvalue > 0
+    ver = report.verification
+    assert set(ver) == {"curvature_residual_rel", "min_u", "boundary_residual", "ineq_report"}
+    assert ver["min_u"] == 1.0 and ver["boundary_residual"] == 0.0
+    assert np.isfinite(ver["curvature_residual_rel"]) and ver["ineq_report"] is ineq
+    meta = report.metadata
+    assert set(meta) == {"accepted", "normalization_factors", "solution", "operators"}
+    assert meta["accepted"] is (ver["curvature_residual_rel"] <= 1e-4)
+    assert meta["solution"] is u and meta["operators"].geom is geom
+    assert meta["normalization_factors"] == []  # neither normalization applies here
+    lines = gi.report_to_text(report, timestamp=False).splitlines()
+    block = lines.index("[iteration]")
+    assert lines[block:block + 6] == ["[iteration]", "shift_k 2.5", "steps 1",
+                                      "bracket_violations 0", "residual 0 0.5",
+                                      "residual 1 0.0"]
+    assert "ineq_report.pass True" in lines
+    assert "ineq_report.sub_weak_rows_max -1.5" in lines
+    assert "theta 0.25" in lines and lines[-1] == f"accepted {meta['accepted']}"
 
 
 @functools.lru_cache(maxsize=None)
