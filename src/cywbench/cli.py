@@ -334,7 +334,8 @@ def build_target_field(mesh, geom, spec: dict) -> ScalarField:
 
     An admissible spec carries its ``base`` expression compiled as
     ``base_fn``, as ``config_from_sections`` builds it.  A region with no
-    interior or too small for its eroded core is a ``ConfigError``.
+    interior or too small for its eroded core is a ``ConfigError``, and so
+    is a field with a non-finite value at any vertex.
     """
     kind = spec["kind"]
     if kind == "constant":
