@@ -18,6 +18,11 @@ Conventions
   point (i, j, k) as (i*npts + j)*npts + k with six Kuhn tets per cube in
   (i, j, k) order; a round-s3 refinement appends edge midpoints in order of
   first appearance and puts each tet's eight children in its place.
+* A preset is built in one orientation pass: it takes each tet's sign from
+  a closed-form determinant and hands the oriented tets' edge matrices to
+  the geometry sampler.  Edges and faces are deduplicated without row-wise
+  sorts: min/max give each one's sorted corners, one CSR build dedupes the
+  edges and one argsort of the face keys finds the once-counted faces.
 """
 
 from __future__ import annotations
@@ -101,13 +106,30 @@ _TET_EDGES = [0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3]
 _TET_FACES = [0, 1, 2, 0, 1, 3, 0, 2, 3, 1, 2, 3]
 
 
+def _edge_ends(tets: np.ndarray):
+    """Smaller and larger end of each tet's six edges, tet by tet."""
+    p = tets[:, _TET_EDGES].reshape(-1, 2)
+    return np.minimum(p[:, 0], p[:, 1]), np.maximum(p[:, 0], p[:, 1])
+
+
 def _face_keys(faces: np.ndarray, n: int) -> np.ndarray:
     """Integer key (a*n + b)*n + c of each face's sorted vertices a < b < c.
 
     Exact in int64 for n < 2**21, which the vertex budget guarantees.
     """
-    a, b, c = np.sort(faces, axis=1).T
-    return (a * n + b) * n + c
+    x, y, z = faces.T
+    a = np.minimum(np.minimum(x, y), z)
+    c = np.maximum(np.maximum(x, y), z)
+    return (a * n + (x + y + z - a - c)) * n + c
+
+
+def _counted_once(keys: np.ndarray) -> np.ndarray:
+    """Mask of the keys that occur exactly once, from one argsort."""
+    order = np.argsort(keys, kind="stable")
+    dup = keys[order[1:]] == keys[order[:-1]]
+    once = np.zeros(len(keys), dtype=bool)
+    once[order] = np.concatenate([[True], ~dup]) & np.concatenate([~dup, [True]])
+    return once
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +201,7 @@ class Mesh:
         """Boolean array, True at boundary vertices."""
         if self._boundary_flags is None:
             flags = np.zeros(self.num_vertices, dtype=bool)
-            if self.boundary_faces.size:
-                flags[np.unique(self.boundary_faces)] = True
+            flags[self.boundary_faces] = True
             self._boundary_flags = flags
         return self._boundary_flags
 
@@ -188,9 +209,11 @@ class Mesh:
         """Unique undirected edges as an (ne, 2) array with e[0] < e[1]."""
         if self._edges is None:
             n = self.num_vertices
-            a, b = np.sort(self.tets[:, _TET_EDGES].reshape(-1, 2), axis=1).T
-            keys = np.unique(a * n + b)
-            self._edges = np.stack([keys // n, keys % n], axis=1)
+            a, b = _edge_ends(self.tets)
+            # the CSR build sums duplicates and sorts each row's columns
+            g = csr_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(n, n))
+            rows = np.repeat(np.arange(n), np.diff(g.indptr))
+            self._edges = np.stack([rows, g.indices.astype(np.int64)], axis=1)
         return self._edges
 
     def displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,13 +268,13 @@ class Mesh:
     def validate(self) -> None:
         """Check the structural mesh invariants; raise ValueError on failure."""
         nv = self.num_vertices
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("non-finite vertex coordinate")
         if self.tets.min(initial=0) < 0 or self.tets.max(initial=-1) >= nv:
             raise ValueError("tetrahedron index out of range")
         # each boundary face belongs to exactly one tetrahedron
-        uniq, counts = np.unique(
-            _face_keys(self.tets[:, _TET_FACES].reshape(-1, 3), nv), return_counts=True
-        )
-        once = uniq[counts == 1]
+        keys = _face_keys(self.tets[:, _TET_FACES].reshape(-1, 3), nv)
+        once = keys[_counted_once(keys)]
         stray = ~np.isin(_face_keys(self.boundary_faces, nv), once)
         if stray.any():
             bf = self.boundary_faces[np.argmax(stray)]
@@ -263,7 +286,7 @@ class Mesh:
             )
         # positive oriented volumes under the reference chart
         vols = tet_volumes(self)
-        if vols.min(initial=np.inf) <= 0:
+        if not (vols > 0).all():
             raise ValueError("non-positive oriented tetrahedron volume")
 
 
@@ -359,35 +382,48 @@ def _kuhn_grid(m: int, npts: int) -> np.ndarray:
     taken modulo ``npts``: ``npts == m`` wraps to the torus, ``npts == m + 1``
     gives the (m+1)^3 point grid of a solid cube.
     """
-    offsets = (_KUHN_TETS[..., None] >> np.arange(3)) & 1  # (6, 4, 3)
-    cubes = np.stack(np.meshgrid(*[np.arange(m)] * 3, indexing="ij"), axis=-1)
-    c = (cubes.reshape(-1, 1, 1, 3) + offsets) % npts
-    return ((c[..., 0] * npts + c[..., 1]) * npts + c[..., 2]).reshape(-1, 4)
+    offsets = (_KUHN_TETS >> np.arange(3)[:, None, None]) & 1  # (3, 6, 4)
+    r = np.arange(m)
+    i = (r[:, None, None, None, None] + offsets[0]) % npts  # (m, 1, 1, 6, 4)
+    j = (r[:, None, None, None] + offsets[1]) % npts  # (m, 1, 6, 4)
+    k = (r[:, None, None] + offsets[2]) % npts  # (m, 6, 4)
+    return ((i * npts + j) * npts + k).reshape(-1, 4)
+
+
+def _det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Determinant of each 3x3 matrix with rows a, b, c: a . (b x c)."""
+    return np.vecdot(a, np.cross(b, c))
 
 
 def _fix_orientation(mesh_vertices: np.ndarray, tets: np.ndarray, period=None):
-    """Swap two vertices of negatively oriented tets in place."""
+    """Swap corners 1 and 2 of negatively oriented tets in place.
+
+    Returns the tets and their edge matrices E, bitwise those of the result.
+    """
     m = Mesh(mesh_vertices, tets, np.zeros((0, 3)), np.zeros(0), "tmp",
              {"period": period} if period else {})
-    vols = tet_volumes(m)
-    bad = vols < 0
+    E = tet_edge_matrices(m)
+    rows = list(E.transpose(1, 0, 2))
+    if len(rows) == 3:
+        vol = _det3(*rows)
+    else:
+        # [E | centroid], expanded along its last column
+        w = m.vertices[tets].mean(axis=1)
+        vol = sum((-1) ** (r + 1) * w[:, r] * _det3(*rows[:r], *rows[r + 1:])
+                  for r in range(4))
+    bad = vol < 0
     tets[bad] = tets[bad][:, [0, 2, 1, 3]]
-    return tets
+    E[bad] = E[bad][:, :, [1, 0, 2]]
+    return tets, E
 
 
-def _build_torus_mesh(m: int, mesh_id: str) -> Mesh:
+def _build_torus_mesh(m: int, mesh_id: str):
     """Unit torus [0,1)^3 with m subdivisions per axis, Kuhn tetrahedra."""
     t = np.arange(m) / m
     coords = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
-    tets = _fix_orientation(coords, _kuhn_grid(m, m), period=1.0)
-    return Mesh(
-        coords,
-        tets,
-        np.zeros((0, 3), dtype=np.int64),
-        np.zeros(0, dtype=np.int64),
-        mesh_id,
-        {"period": 1.0},
-    )
+    tets, E = _fix_orientation(coords, _kuhn_grid(m, m), period=1.0)
+    return Mesh(coords, tets, np.zeros((0, 3), dtype=np.int64),
+                np.zeros(0, dtype=np.int64), mesh_id, {"period": 1.0}), E
 
 
 def _extract_boundary(vertices: np.ndarray, tets: np.ndarray):
@@ -395,10 +431,7 @@ def _extract_boundary(vertices: np.ndarray, tets: np.ndarray):
     # face f of every tet, then face f + 1; corner 3 - f is opposite face f
     faces = tets[:, _TET_FACES].reshape(-1, 4, 3).transpose(1, 0, 2).reshape(-1, 3)
     opp = tets[:, ::-1].T.ravel()
-    _, inv, counts = np.unique(
-        _face_keys(faces, len(vertices)), return_inverse=True, return_counts=True
-    )
-    on_bnd = counts[inv] == 1
+    on_bnd = _counted_once(_face_keys(faces, len(vertices)))
     bfaces = faces[on_bnd]
     bopp = opp[on_bnd]
     # orientation: +1 if (v1-v0, v2-v0, normal-away-from-opposite) is
@@ -414,7 +447,7 @@ def _extract_boundary(vertices: np.ndarray, tets: np.ndarray):
     return bfaces, np.ones(len(bfaces), dtype=np.int64)
 
 
-def _build_ball_mesh(m: int, mesh_id: str) -> Mesh:
+def _build_ball_mesh(m: int, mesh_id: str):
     """Unit Euclidean ball: cube grid on [-1,1]^3 mapped radially to the ball."""
     lin = np.linspace(-1.0, 1.0, m + 1)
     coords = np.stack(np.meshgrid(lin, lin, lin, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -424,23 +457,24 @@ def _build_ball_mesh(m: int, mesh_id: str) -> Mesh:
     norm_2 = np.linalg.norm(coords, axis=1)
     scale = np.where(norm_2 > 0, norm_inf / np.maximum(norm_2, 1e-300), 0.0)
     coords = coords * scale[:, None]
-    tets = _fix_orientation(coords, tets)
+    tets, E = _fix_orientation(coords, tets)
     bfaces, bsign = _extract_boundary(coords, tets)
-    return Mesh(coords, tets, bfaces, bsign, mesh_id, {})
+    return Mesh(coords, tets, bfaces, bsign, mesh_id, {}), E
 
 
-def _build_annulus_mesh(m: int, mesh_id: str) -> Mesh:
+def _build_annulus_mesh(m: int, mesh_id: str):
     """Ball mesh without the tets whose centroid lies inside radius 1/2, reindexed."""
-    ball = _build_ball_mesh(m, mesh_id)
+    ball, E = _build_ball_mesh(m, mesh_id)
     centroids = ball.vertices[ball.tets].mean(axis=1)
-    tets = ball.tets[np.linalg.norm(centroids, axis=1) > 0.5]
+    keep = np.linalg.norm(centroids, axis=1) > 0.5
+    tets = ball.tets[keep]
     used = np.unique(tets)
     remap = -np.ones(ball.num_vertices, dtype=np.int64)
     remap[used] = np.arange(len(used))
     tets = remap[tets]
     verts = ball.vertices[used]
     bfaces, bsign = _extract_boundary(verts, tets)
-    return Mesh(verts, tets, bfaces, bsign, mesh_id, {"inner_radius": 0.5})
+    return Mesh(verts, tets, bfaces, bsign, mesh_id, {"inner_radius": 0.5}), E[keep]
 
 
 #: Eight children of a tet over the columns of ``corners`` in the refinement:
@@ -449,7 +483,7 @@ _REFINED_TETS = np.array([[0, 4, 5, 6], [1, 4, 7, 8], [2, 5, 7, 9], [3, 6, 8, 9]
                           [4, 5, 8, 6], [4, 5, 7, 8], [5, 6, 8, 9], [5, 7, 8, 9]])
 
 
-def _build_round_s3_mesh(refinement: int, mesh_id: str) -> Mesh:
+def _build_round_s3_mesh(refinement: int, mesh_id: str):
     """Refined 16-cell projected onto the unit 3-sphere in R^4."""
     # index of +e_a is 2a, -e_a is 2a+1; one tet per choice of signs
     verts = np.zeros((8, 4))
@@ -459,7 +493,7 @@ def _build_round_s3_mesh(refinement: int, mesh_id: str) -> Mesh:
     for _ in range(refinement):
         # midpoints of the six edges of every tet, numbered by first appearance
         n = len(verts)
-        a, b = np.sort(tets[:, _TET_EDGES].reshape(-1, 2), axis=1).T
+        a, b = _edge_ends(tets)
         _, first, inv = np.unique(a * n + b, return_index=True, return_inverse=True)
         order = np.argsort(first)
         ends = first[order]
@@ -471,15 +505,9 @@ def _build_round_s3_mesh(refinement: int, mesh_id: str) -> Mesh:
         corners = np.concatenate([tets, mids], axis=1)
         tets = corners[:, _REFINED_TETS].reshape(-1, 4)
 
-    tets = _fix_orientation(verts, tets)
-    return Mesh(
-        verts,
-        tets,
-        np.zeros((0, 3), dtype=np.int64),
-        np.zeros(0, dtype=np.int64),
-        mesh_id,
-        {},
-    )
+    tets, E = _fix_orientation(verts, tets)
+    return Mesh(verts, tets, np.zeros((0, 3), dtype=np.int64),
+                np.zeros(0, dtype=np.int64), mesh_id, {}), E
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +515,12 @@ def _build_round_s3_mesh(refinement: int, mesh_id: str) -> Mesh:
 # ---------------------------------------------------------------------------
 
 
-def _flat_geometry_arrays(mesh: Mesh):
+def _flat_geometry_arrays(mesh: Mesh, E: np.ndarray):
     """Pullback metric E^T E per tet and boundary densities.
 
-    The metric is constant in q: a read-only view repeating each tet's matrix.
-    The density is one determinant per tet, repeated into a (nt, nq) array.
+    ``E`` is :func:`tet_edge_matrices` of the mesh.  The metric is constant
+    in q: a read-only view repeating each tet's matrix.  The density is one determinant per tet, repeated into a (nt, nq) array.
     """
-    E = tet_edge_matrices(mesh)  # (nt, 3, 3)
     G = np.einsum("tki,tkj->tij", E, E)
     nq = TET_QP.shape[0]
     metric = np.broadcast_to(G[:, None, :, :], (len(G), nq, 3, 3))
@@ -511,10 +538,9 @@ def _flat_geometry_arrays(mesh: Mesh):
     return metric, density, bdens
 
 
-def _round_s3_geometry_arrays(mesh: Mesh):
-    """Exact pullback of the round metric under radial projection."""
+def _round_s3_geometry_arrays(mesh: Mesh, E: np.ndarray):
+    """Exact pullback of the round metric under radial projection; E as above."""
     x = mesh.tet_corner_coords()  # (nt, 4, 4)
-    E = tet_edge_matrices(mesh)  # (nt, 4, 3)
     nq = TET_QP.shape[0]
     metric = np.empty((mesh.num_tets, nq, 3, 3))
     ExE = np.einsum("tki,tkj->tij", E, E)  # independent of the quadrature point
@@ -568,10 +594,13 @@ def build_preset(preset_id: str, refinement: int):
     Returns (Mesh, GeometrySpec).  Known presets: round-s3, flat-t3,
     ball-negR, annulus, bump-t3.  The vertex budget is checked on the
     preset's exact vertex count (the ball grid's for the annulus) before
-    anything is built.
+    anything is built, as is the refinement: a nonnegative integer, numpy
+    integers included.
     """
     if preset_id not in PRESET_IDS:
         raise ValueError(f"unknown preset '{preset_id}' (known: {PRESET_IDS})")
+    if isinstance(refinement, bool) or not isinstance(refinement, (int, np.integer)):
+        raise ValueError(f"refinement must be an integer, got {refinement!r}")
     if refinement < 0:
         raise ValueError("refinement must be >= 0")
     mesh_id = f"{preset_id}-r{refinement}"
@@ -586,9 +615,9 @@ def build_preset(preset_id: str, refinement: int):
     }[preset_id]
     if count > _VERTEX_BUDGET:
         raise ValueError("refinement exceeds the vertex budget")
-    mesh = build(size, mesh_id)
+    mesh, E = build(size, mesh_id)  # E: the oriented tets' edge matrices
     sampler = _round_s3_geometry_arrays if preset_id == "round-s3" else _flat_geometry_arrays
-    metric, density, bdens = sampler(mesh)
+    metric, density, bdens = sampler(mesh, E)
 
     n = mesh.num_vertices
     R = np.full(n, {"round-s3": 6.0, "ball-negR": BALL_NEGR_R}.get(preset_id, 0.0))

@@ -650,7 +650,8 @@ def solve_flat_punctured(
             )
 
     # flat-chart operators: Euclidean metric, zero curvature coefficient
-    metric, density, bdens = _geometry._flat_geometry_arrays(mesh)
+    metric, density, bdens = _geometry._flat_geometry_arrays(
+        mesh, _geometry.tet_edge_matrices(mesh))
     geom_flat = GeometrySpec(
         metric=metric,
         volume_density=density,

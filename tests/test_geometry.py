@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -59,7 +60,7 @@ def test_round_s3_geometry_matches_per_quadrature_point_form():
         metric[:, q] = (ExE - Ex[:, :, None] * Ex[:, None, :] / r2[:, None, None]) / r2[
             :, None, None
         ]
-    got_metric, got_density, boundary = geometry._round_s3_geometry_arrays(mesh)
+    got_metric, got_density, boundary = geometry._round_s3_geometry_arrays(mesh, E)
     assert np.array_equal(got_metric, metric)
     assert np.array_equal(got_density, np.sqrt(np.linalg.det(metric)))
     assert boundary is None
@@ -98,6 +99,34 @@ def test_bump_t3_marked_region_negative():
 def test_unknown_preset_rejected():
     with pytest.raises((KeyError, ValueError)):
         geometry.build_preset("no-such-preset", 1)
+
+
+@pytest.mark.parametrize("pid,refinement", [
+    ("flat-t3", 1.5), ("round-s3", 1.5), ("ball-negR", 1.5), ("flat-t3", True),
+    ("bump-t3", np.float64(1.0)), ("annulus", "1"), ("round-s3", None),
+])
+def test_build_preset_refuses_a_non_integer_refinement(pid, refinement, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(geometry, "_fix_orientation", no_build)
+    with pytest.raises(ValueError, match="refinement must be an integer"):
+        geometry.build_preset(pid, refinement)
+
+
+@pytest.mark.parametrize("refinement", [-1, np.int64(-1)])
+def test_build_preset_refuses_a_negative_refinement(refinement):
+    with pytest.raises(ValueError, match="refinement must be >= 0"):
+        geometry.build_preset("flat-t3", refinement)
+
+
+@pytest.mark.parametrize("pid", ["round-s3", "flat-t3", "ball-negR"])
+def test_build_preset_accepts_numpy_integers(pid):
+    mesh, geom = geometry.build_preset(pid, np.int64(1))
+    ref, ref_geom = preset(pid, 1)
+    assert mesh.mesh_id == ref.mesh_id == f"{pid}-r1"
+    assert np.array_equal(mesh.tets, ref.tets)
+    assert geom.volume_density.tobytes() == ref_geom.volume_density.tobytes()
 
 
 @pytest.mark.parametrize("pid,count", [
@@ -323,6 +352,12 @@ def _corrupt(text, section, index, replace):
 
 
 def test_read_mesh_validates(monkeypatch):
+    small = geometry.write_mesh(preset("ball-negR", 0)[0])
+    for value in ("nan", "inf"):
+        # a NaN volume compared false with 0, so the volume check let it pass
+        bad_vertex = _corrupt(small, "VERTICES", 0, lambda line: f"0 {value} 0.0 0.0\n")
+        with pytest.raises(ValueError, match="non-finite vertex coordinate"):
+            geometry.read_mesh(bad_vertex)
     mesh, _ = preset("ball-negR", 1)
     text = geometry.write_mesh(mesh)
     bad_tet = _corrupt(text, "TETS", 3,
@@ -331,6 +366,16 @@ def test_read_mesh_validates(monkeypatch):
         geometry.read_mesh(bad_tet)
     with pytest.raises(ValueError, match="boundary face count"):
         geometry.read_mesh(_corrupt(text, "BFACES", 5, None))
+    # grid points 0, 1, 2 lie on one line, so they span no face
+    with pytest.raises(ValueError, match="not a once-counted tet face"):
+        geometry.read_mesh(_corrupt(text, "BFACES", 5, lambda line: "0 1 2 1\n"))
+
+    def swap(line):
+        a, b, c, d = line.split()
+        return f"{a} {c} {b} {d}\n"
+
+    with pytest.raises(ValueError, match="non-positive oriented tetrahedron volume"):
+        geometry.read_mesh(_corrupt(text, "TETS", 3, swap))
     monkeypatch.setattr(geometry, "_VERTEX_BUDGET", mesh.num_vertices - 1)
     with pytest.raises(ValueError, match="vertex budget"):
         geometry.read_mesh(text)
@@ -340,6 +385,24 @@ def test_read_mesh_validates(monkeypatch):
 # oracles: the loop-based topology builders that the array code replaced;
 # vertex and tet order feed every downstream solve, so they must agree bitwise
 # ---------------------------------------------------------------------------
+
+
+def _det_orientation(verts, tets, period=None):
+    """Swap corners 1 and 2 where np.linalg.det gives a negative volume.
+
+    The determinant is the one ``tet_volumes`` takes: of E on a 3-coordinate
+    chart (periodic-unwrapped on the torus), of [E | centroid] on the sphere.
+    """
+    x = verts[tets]
+    if period is not None:
+        d = x - x[:, :1]
+        x = x[:, :1] + (d - period * np.round(d / period))
+    E = np.stack([x[:, 1] - x[:, 0], x[:, 2] - x[:, 0], x[:, 3] - x[:, 0]], axis=2)
+    if verts.shape[1] == 4:
+        E = np.concatenate([E, x.mean(axis=1)[:, :, None]], axis=2)
+    bad = np.linalg.det(E) < 0
+    tets[bad] = tets[bad][:, [0, 2, 1, 3]]
+    return tets
 
 
 def _loop_kuhn_tets(m, idx):
@@ -404,7 +467,7 @@ def _loop_round_s3(refinement):
                          (m02, m03, m13, m23), (m02, m12, m13, m23)]
         verts = np.concatenate(new_verts, axis=0)
         tets = np.array(new_tets, dtype=np.int64)
-    return verts, geometry._fix_orientation(verts, tets), None
+    return verts, _det_orientation(verts, tets), None
 
 
 def _loop_preset(pid, refinement):
@@ -416,7 +479,7 @@ def _loop_preset(pid, refinement):
         coords = np.array([[i / m, j / m, k / m]
                            for i in range(m) for j in range(m) for k in range(m)])
         tets = _loop_kuhn_tets(m, lambda i, j, k: ((i % m) * m + (j % m)) * m + (k % m))
-        return coords, geometry._fix_orientation(coords, tets, period=1.0), None
+        return coords, _det_orientation(coords, tets, period=1.0), None
     lin = np.linspace(-1.0, 1.0, m + 1)
     grid = np.meshgrid(lin, lin, lin, indexing="ij")
     coords = np.stack([g.ravel() for g in grid], axis=1)
@@ -425,7 +488,7 @@ def _loop_preset(pid, refinement):
     norm_inf = np.abs(coords).max(axis=1)
     scale = np.where(norm_2 > 0, norm_inf / np.maximum(norm_2, 1e-300), 0.0)
     coords = coords * scale[:, None]
-    tets = geometry._fix_orientation(coords, tets)
+    tets = _det_orientation(coords, tets)
     if pid == "annulus":
         tets = tets[np.linalg.norm(coords[tets].mean(axis=1), axis=1) > 0.5]
         used = np.unique(tets)
@@ -451,6 +514,72 @@ def test_preset_topology_matches_loop_oracle(pid, refinement):
     pairs = np.sort(pairs, axis=1)
     assert np.array_equal(mesh.edges(), np.unique(pairs, axis=0))
     mesh.validate()
+
+
+def _parent_geometry_arrays(mesh):
+    """Metric, volume and boundary densities by the formulas that recomputed E.
+
+    These sampled the finished mesh: E from ``tet_edge_matrices`` and, on
+    the sphere, the quadrature points from ``tet_corner_coords``.
+    """
+    E = geometry.tet_edge_matrices(mesh)
+    nq = len(geometry.TET_QP)
+    if mesh.vertices.shape[1] == 4:
+        x = mesh.tet_corner_coords()
+        metric = np.empty((mesh.num_tets, nq, 3, 3))
+        ExE = np.einsum("tki,tkj->tij", E, E)
+        for q in range(nq):
+            xq = np.einsum("c,tcd->td", geometry.TET_QP[q], x)
+            r2 = np.einsum("td,td->t", xq, xq)
+            Ex = np.einsum("tk,tkj->tj", xq, E)
+            metric[:, q] = (ExE - Ex[:, :, None] * Ex[:, None, :]
+                            / r2[:, None, None]) / r2[:, None, None]
+        return metric, np.sqrt(np.linalg.det(metric)), None
+    G = np.einsum("tki,tkj->tij", E, E)
+    metric = np.broadcast_to(G[:, None, :, :], (len(G), nq, 3, 3))
+    density = np.repeat(np.sqrt(np.linalg.det(G))[:, None], nq, axis=1)
+    bdens = None
+    if mesh.boundary_faces.size:
+        x = mesh.vertices[mesh.boundary_faces]
+        e1, e2 = x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
+        g11 = np.einsum("ij,ij->i", e1, e1)
+        g22 = np.einsum("ij,ij->i", e2, e2)
+        g12 = np.einsum("ij,ij->i", e1, e2)
+        area = np.sqrt(np.maximum(g11 * g22 - g12**2, 0.0))
+        bdens = np.broadcast_to(area[:, None], (len(x), len(geometry.TRI_QP))).copy()
+    return metric, density, bdens
+
+
+@pytest.mark.parametrize("pid,refinement", [(p, r) for p in geometry.PRESET_IDS
+                                            for r in (0, 1, 2)] + [("round-s3", 3)])
+def test_preset_geometry_matches_the_finished_mesh_oracle(pid, refinement):
+    # the builders hand their orientation pass's E to the sampler
+    mesh, geom = preset(pid, refinement)
+    metric, density, bdens = _parent_geometry_arrays(mesh)
+    got = (geom.metric, geom.volume_density, geom.boundary_density)
+    for g, w in zip(got, (metric, density, bdens)):
+        if w is None:
+            assert g is None
+            continue
+        assert g.shape == w.shape and g.strides == w.strides
+        assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
+
+
+@pytest.mark.parametrize("pid", ["ball-negR", "round-s3"])
+def test_face_keys_match_sorted_keys_on_every_permutation(pid):
+    mesh, _ = preset(pid, 1)
+    n = mesh.num_vertices
+    big = 2**21 - 1  # the largest vertex count the keys are exact for
+    rng = np.random.default_rng(5)
+    cases = [(mesh.tets[:, geometry._TET_FACES].reshape(-1, 3), n),
+             (rng.integers(0, big, size=(500, 3)), big),
+             (np.array([[7, 7, 3], [0, 0, 0], [big - 1, 0, big - 1]]), big)]
+    for faces, count in cases:
+        a, b, c = np.sort(faces, axis=1).T
+        expected = (a * count + b) * count + c
+        for perm in itertools.permutations(range(3)):
+            got = geometry._face_keys(faces[:, list(perm)], count)
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
 
 
 def _bfs_subdomain(mesh, sel):

@@ -151,6 +151,22 @@ def test_solve_flat_punctured_positive():
     assert u.metadata["curved_relative_residual"] < 1e-9
 
 
+def test_solve_flat_punctured_checks_the_puncture_gradient():
+    mesh, geom = preset("flat-t3", 2)
+    dom = geometry.ball_domain(mesh, (0.5, 0.5, 0.5), 0.4)
+    d = mesh.vertices[dom.interior_set] - 0.5
+    center = int(dom.interior_set[np.argmin(np.einsum("ij,ij->i", d, d))])
+    punct = geometry.make_punctured_domain(mesh, dom, center, eps=1e-6)
+    flat = ScalarField(np.ones(mesh.num_vertices), mesh.mesh_id)
+    with pytest.raises(ValueError, match="puncture precondition failed"):
+        local_yamabe.solve_flat_punctured(mesh, punct, flat, geom, CST)
+    Q = ScalarField(1.0 + 0.3 * mesh.vertices[:, 0], mesh.mesh_id)
+    u = local_yamabe.solve_flat_punctured(mesh, punct, Q, geom, CST)
+    assert u.values[punct.interior_set].min() > 0
+    assert np.all(u.values[punct.frontier_set] == 0.0)
+    assert u.metadata["curved_relative_residual"] < 1e-9
+
+
 def test_trace_report_format(gate_setup):
     mesh, geom, dom, ops, _ = gate_setup
     trace = local_yamabe.beta_continuation(mesh, dom, geom, CST, 1.0, -0.2,
