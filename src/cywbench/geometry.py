@@ -519,7 +519,8 @@ def _flat_geometry_arrays(mesh: Mesh, E: np.ndarray):
     """Pullback metric E^T E per tet and boundary densities.
 
     ``E`` is :func:`tet_edge_matrices` of the mesh.  The metric is constant
-    in q: a read-only view repeating each tet's matrix.  The density is one determinant per tet, repeated into a (nt, nq) array.
+    in q: a read-only view repeating each tet's matrix.  The density is one
+    determinant per tet, repeated into a (nt, nq) array.
     """
     G = np.einsum("tki,tkj->tij", E, E)
     nq = TET_QP.shape[0]

@@ -354,7 +354,7 @@ def _corrupt(text, section, index, replace):
 def test_read_mesh_validates(monkeypatch):
     small = geometry.write_mesh(preset("ball-negR", 0)[0])
     for value in ("nan", "inf"):
-        # a NaN volume compared false with 0, so the volume check let it pass
+        # the volume check alone would see NaN or infinite volumes, not the cause
         bad_vertex = _corrupt(small, "VERTICES", 0, lambda line: f"0 {value} 0.0 0.0\n")
         with pytest.raises(ValueError, match="non-finite vertex coordinate"):
             geometry.read_mesh(bad_vertex)
@@ -516,7 +516,7 @@ def test_preset_topology_matches_loop_oracle(pid, refinement):
     mesh.validate()
 
 
-def _parent_geometry_arrays(mesh):
+def _recomputed_geometry_arrays(mesh):
     """Metric, volume and boundary densities by the formulas that recomputed E.
 
     These sampled the finished mesh: E from ``tet_edge_matrices`` and, on
@@ -555,7 +555,7 @@ def _parent_geometry_arrays(mesh):
 def test_preset_geometry_matches_the_finished_mesh_oracle(pid, refinement):
     # the builders hand their orientation pass's E to the sampler
     mesh, geom = preset(pid, refinement)
-    metric, density, bdens = _parent_geometry_arrays(mesh)
+    metric, density, bdens = _recomputed_geometry_arrays(mesh)
     got = (geom.metric, geom.volume_density, geom.boundary_density)
     for g, w in zip(got, (metric, density, bdens)):
         if w is None:
