@@ -5,12 +5,18 @@ The local problem on a domain Omega is
     a*(-Laplace_g) u + (R_g + beta) u = lambda * u^{p-1},   u = 0 on the frontier,
 
 solved by a projected gradient on the unit L^p sphere followed by one
-Newton solve.  The equation is (p-2)-homogeneous, so rescaling the
-constrained minimizer by Q_min^{1/(p-2)} removes the Lagrange multiplier and
-the Newton runs on the equation itself.  The projected gradient converges
-only linearly, so it stops as soon as its relative constrained residual is
-below ``HANDOFF_RESIDUAL`` and leaves the rest to the Newton, which
-converges quadratically from there (Deuflhard, *Newton Methods for Nonlinear
+Newton solve.  The gradient is taken in the inner product of the operator
+A = a K + M_R + beta M, a Sobolev gradient (Neuberger, *Sobolev Gradients
+and Differential Equations*, 2010), solved with the factor of A that seeds
+the iteration; a step of 1 is the normalized inverse-iteration point.  It
+is a descent direction only while A is positive definite, and the line
+search accepts only steps that lower the quotient.  The equation is
+(p-2)-homogeneous, so rescaling the constrained minimizer by
+Q_min^{1/(p-2)} removes the Lagrange multiplier and the Newton runs on the
+equation itself.  The projected gradient converges only linearly, so it
+stops as soon as its relative constrained residual is below
+``HANDOFF_RESIDUAL`` and leaves the rest to the Newton, which converges
+quadratically from there (Deuflhard, *Newton Methods for Nonlinear
 Problems*, 2004).  The Newton is ``operators.damped_newton`` with a
 positivity clamp, and its status goes into the solution metadata.  The
 continuation in beta starts each step after the second, and the beta = 0
@@ -28,8 +34,9 @@ vectors; the other tets contribute exactly 0.  Only the interior rows and
 columns of ``ops`` are read, so a whole-mesh assembly serves bitwise as
 well as the Dirichlet one assembled when none is given.  The operator and
 every Jacobian are data arrays on that object's fixed interior pattern, and
-the torsion seed and every Newton step factor them in the pattern's cached
-minimum-degree order (``FreeQuadrature.factor``).
+the torsion seed (whose factor the gradient reuses) and every Newton step
+factor them in the pattern's cached minimum-degree order
+(``FreeQuadrature.factor``).
 """
 
 from __future__ import annotations
@@ -61,8 +68,10 @@ __all__ = [
 ]
 
 GATE_SAFETY = 0.99
-# projected gradient hands off to Newton once ||Au - J F|| <= this * ||Au||
-HANDOFF_RESIDUAL = 1e-2
+# projected gradient hands off to Newton once ||Au - J F|| <= this * ||Au||;
+# the A-metric gradient gets there in a few steps, and at 1e-2 the Newton
+# stalled from the whole annulus r2's hand-off
+HANDOFF_RESIDUAL = 1e-4
 EPS_SWEEP = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
 BETA_RATIO = 0.5  # beta_continuation's step: beta_k = beta0 * BETA_RATIO^k
 
@@ -301,13 +310,18 @@ def _solve_critical(
     Solves  A u = N(u)  with  A = a K + M_R + beta M  (restricted rows) and
     N(u) = consistent load of lam*S*|u|^{p-2}u.  Iterates live on ``free``
     and vanish elsewhere, so every quadrature sweeps only the tets that
-    touch ``free``.  Unless ``newton_only``, a projected gradient on the
-    weighted unit L^p sphere runs until ||Au - J F|| <= HANDOFF_RESIDUAL *
-    ||Au|| in the lumped dual norm (J the quotient, F the load), or until it
-    stalls; its minimizer is rescaled by Q_min^{1/(p-2)} and handed to the
-    Newton, and ``info["Q_min"]`` is the solution's quotient.  The Newton
-    accepts its start with 0 steps when it already meets the residual test.
-    Returns (u_full, info).
+    touch ``free``.  Unless ``newton_only``, A is factored once, for the
+    torsion seed and for the gradient (a failed factorization raises), and a
+    projected gradient on the weighted unit L^p sphere runs until
+    ||Au - J F|| <= HANDOFF_RESIDUAL * ||Au|| in the lumped dual norm (J the
+    quotient, F the load), or until it stalls.  Its gradient is
+    A^{-1}(Au - J F), the gradient in the A inner product: a descent
+    direction only while A is positive definite, but the line search
+    accepts a step only where the quotient decreases, so every accepted
+    step descends.  The minimizer is rescaled by Q_min^{1/(p-2)} and handed to
+    the Newton, and ``info["Q_min"]`` is the solution's quotient.  The
+    Newton accepts its start with 0 steps when it already meets the
+    residual test.  Returns (u_full, info).
     """
     p = ops.constants.p
     fq = ops.free_quadrature(free)
@@ -332,14 +346,15 @@ def _solve_critical(
         raise ValueError("initial guess vanishes on the interior")
 
     if not newton_only:
+        try:
+            solve_A = fq.factor(A.data, splu)
+        except RuntimeError as err:
+            raise RuntimeError(f"factorization of A failed: {err}") from err
         # seed strictly positive: compactly supported inits trap the clamped
         # iteration at their support frontier (M-matrix rows stay negative)
-        try:
-            torsion = np.abs(fq.factor(A.data, splu)(mL))
-            if torsion.max() > 0:
-                u = u + 0.3 * u.max() * torsion / torsion.max()
-        except RuntimeError:
-            pass
+        torsion = np.abs(solve_A(mL))
+        if torsion.max() > 0:
+            u = u + 0.3 * u.max() * torsion / torsion.max()
 
         # projected gradient on the weighted unit-L^p sphere
         den = weighted_p_integral(u)
@@ -356,7 +371,7 @@ def _solve_critical(
             r = Au - J * F
             if dual_norm(r, mL) <= HANDOFF_RESIDUAL * dual_norm(Au, mL):
                 break
-            grad = 2.0 * r
+            grad = solve_A(r)  # step 1 lands on J A^{-1} F, then normalized
             step = t
             improved = False
             for _ in range(40):

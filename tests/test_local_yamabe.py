@@ -151,6 +151,27 @@ def test_solve_flat_punctured_positive():
     assert u.metadata["curved_relative_residual"] < 1e-9
 
 
+ANNULUS_HALVES = {"x > 0": 0, "z > 0": 2}
+
+
+@pytest.mark.parametrize("domain, q_slope", [
+    ("whole", 0.3), ("x > 0", 0.0), ("x > 0", 0.3), ("z > 0", 0.0), ("z > 0", 0.3)])
+def test_solve_flat_punctured_converges_on_the_annulus(domain, q_slope):
+    # the L^2 projected gradient stalled its Newton at 3-4e-2 on all five
+    mesh, geom = preset("annulus", 2)
+    if domain == "whole":
+        dom = geometry.extract_subdomain(mesh, lambda v: np.ones(len(v), bool))
+    else:
+        axis = ANNULUS_HALVES[domain]
+        dom = geometry.extract_subdomain(mesh, lambda v: v[:, axis] > 0)
+    Q = ScalarField(1.0 + q_slope * mesh.vertices[:, 0], mesh.mesh_id)
+    u = local_yamabe.solve_flat_punctured(mesh, dom, Q, geom, CST)
+    assert u.metadata["newton_status"] == "converged"
+    assert u.values[dom.interior_set].min() > 0
+    assert np.all(u.values[dom.frontier_set] == 0.0)
+    assert u.metadata["curved_relative_residual"] < 1e-9
+
+
 def test_solve_flat_punctured_checks_the_puncture_gradient():
     mesh, geom = preset("flat-t3", 2)
     dom = geometry.ball_domain(mesh, (0.5, 0.5, 0.5), 0.4)
@@ -208,6 +229,24 @@ def test_polish_failure_names_newton_status(gate_setup, monkeypatch):
     with pytest.raises(RuntimeError, match=r"Newton polish singular after 0 steps"):
         local_yamabe.solve_perturbed(mesh, dom, geom, CST, 1.0, -0.1, init,
                                      ops=ops, require_gate=False, newton_only=True)
+
+
+def test_a_failed_factorization_of_A_refuses_the_solve(gate_setup, monkeypatch):
+    mesh, geom, dom, ops, gate = gate_setup
+    init = local_yamabe.test_function(
+        mesh, dom, geom,
+        TestFunctionParams(gate.metadata["eps_star"], -0.1,
+                           gate.metadata["center"], gate.metadata["radius"]),
+    )
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(local_yamabe, "splu", singular)
+    with pytest.raises(RuntimeError,
+                       match=r"^factorization of A failed: Factor is exactly singular$"):
+        local_yamabe.solve_perturbed(mesh, dom, geom, CST, 1.0, -0.1, init,
+                                     ops=ops, require_gate=False)
 
 
 # the local-solve benchmark inputs: a ball around each preset's marked centre
@@ -291,3 +330,74 @@ def test_beta_continuation_uses_the_callers_gate(gate_setup, monkeypatch):
     trace = local_yamabe.beta_continuation(mesh, dom, geom, CST, 1.0, -0.1, ops=ops,
                                            gate=gate)
     assert trace.converged and trace.metadata["gate_Q_eps"] == gate.Q_eps
+
+
+_SOLVE_CRITICAL = local_yamabe._solve_critical
+
+
+def _l2_gradient_critical(ops, free, beta, lam, S, init, newton_only=False):
+    """``_solve_critical`` with the projected gradient in the plain L^2 metric.
+
+    The oracle for the A-metric gradient: the earlier version's loop, with
+    gradient 2 r and a hand-off at a 1e-2 relative residual, followed by
+    the program's own Newton.  Only the unweighted target (S None) is done.
+    """
+    if newton_only:
+        return _SOLVE_CRITICAL(ops, free, beta, lam, S, init, newton_only=True)
+    assert S is None
+    p = ops.constants.p
+    fq = ops.free_quadrature(free)
+    A = fq.conformal_laplacian_matrix(beta)
+    mL = ops.mass_lumped[free]
+
+    def mass(u):
+        return lam * fq.integrate(np.abs(fq.quad_values(u)) ** p)
+
+    u = np.maximum(init[free], 0.0)
+    torsion = np.abs(fq.factor(A.data, local_yamabe.splu)(mL))
+    u = u + 0.3 * u.max() * torsion / torsion.max()
+    u /= mass(u) ** (1.0 / p)
+    t, J_prev = 1.0, None
+    for steps in range(300):
+        Au = A @ u
+        J = float(u @ Au)
+        if J_prev is not None and J_prev - J < 1e-12 * max(abs(J), 1.0):
+            break
+        J_prev = J
+        r = Au - J * lam * fq.nonlinear_load(u, 1.0)
+        if operators.dual_norm(r, mL) <= 1e-2 * operators.dual_norm(Au, mL):
+            break
+        step, improved = t, False
+        for _ in range(40):
+            cand = np.maximum(u - 2.0 * step * r, 0.0)
+            dc = mass(cand)
+            if dc > 0:
+                cand = cand / dc ** (1.0 / p)
+                if float(cand @ (A @ cand)) < J:
+                    u, t, improved = cand, 1.5 * step, True
+                    break
+            step *= 0.5
+        if not improved:
+            break
+    Q = float(u @ (A @ u)) / mass(u) ** (2.0 / p)
+    start = np.zeros(ops.num_vertices)
+    start[free] = u * Q ** (1.0 / (p - 2.0))
+    u_full, info = _SOLVE_CRITICAL(ops, free, beta, lam, S, start, newton_only=True)
+    uf = u_full[free]
+    info["Q_min"] = float(uf @ (A @ uf)) / mass(uf) ** (2.0 / p)
+    info["gradient_steps"] = steps
+    return u_full, info
+
+
+@pytest.mark.parametrize("preset_id", sorted(LOCAL_SOLVE_CASES))
+def test_a_metric_gradient_matches_the_l2_gradient_oracle(local_solve_traces,
+                                                         preset_id, monkeypatch):
+    mesh, geom, dom, ops, trace, _ = local_solve_traces[preset_id]
+    monkeypatch.setattr(local_yamabe, "_solve_critical", _l2_gradient_critical)
+    l2 = local_yamabe.beta_continuation(mesh, dom, geom, CST, 1.0, -0.1, ops=ops)
+    first, first_l2 = trace.solutions[0].metadata, l2.solutions[0].metadata
+    assert first["gradient_steps"] < first_l2["gradient_steps"]
+    assert abs(first["Q_min"] - first_l2["Q_min"]) <= 1e-10 * first_l2["Q_min"]
+    u0 = trace.metadata["beta_zero_solution"].values
+    v0 = l2.metadata["beta_zero_solution"].values
+    assert np.abs(u0 - v0).max() <= 1e-10 * np.abs(v0).max()
