@@ -69,8 +69,8 @@ __all__ = [
 
 GATE_SAFETY = 0.99
 # projected gradient hands off to Newton once ||Au - J F|| <= this * ||Au||;
-# the A-metric gradient gets there in a few steps, and at 1e-2 the Newton
-# stalled from the whole annulus r2's hand-off
+# the A-metric gradient gets there in a few steps, and from a 1e-2 hand-off
+# the Newton stalls on the whole annulus r2
 HANDOFF_RESIDUAL = 1e-4
 EPS_SWEEP = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
 BETA_RATIO = 0.5  # beta_continuation's step: beta_k = beta0 * BETA_RATIO^k
